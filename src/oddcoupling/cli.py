@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +43,6 @@ class RunConfig:
     graph_source: str | None = None
     coupling_source: str | None = None
     seed: int = DEFAULT_SEED
-    threads: int = 1
     eq_tol_scale: float = EQ_TOL_SCALE
     zero_tol_scale: float = ZERO_TOL_SCALE
     extras: dict = field(default_factory=dict)
@@ -55,30 +53,45 @@ class RunConfig:
             "graph": self.graph_source,
             "coupling": self.coupling_source,
             "seed": self.seed,
-            "threads": self.threads,
+            # always 1: the program is serial, and the key keeps the report layout
+            "threads": 1,
             "eq_tol_scale": self.eq_tol_scale,
             "zero_tol_scale": self.zero_tol_scale,
             **self.extras,
         }
 
 
+def read_input(path: str, parse=json.loads):
+    """``parse`` of a file's text; an unreadable file or bad JSON is invalid input."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"invalid input file {path}: {exc}") from exc
+
+
 def load_graph(path: str) -> Graph:
-    text = Path(path).read_text()
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return graph_from_dict(json.loads(text))
-    return parse_edge_list(text)
+    def parse(text):
+        if path.endswith(".json") or text.lstrip().startswith("{"):
+            return graph_from_dict(json.loads(text))
+        return parse_edge_list(text)
+    return read_input(path, parse)
 
 
 def load_coupling(path: str) -> CouplingFunction:
-    return coupling_from_dict(json.loads(Path(path).read_text()))
+    return coupling_from_dict(read_input(path))
+
+
+def parse_values(text: str, cast, what: str) -> list:
+    """Comma-separated values, or the JSON list in the file named after '@'."""
+    vals = read_input(text[1:]) if text.startswith("@") else text.split(",")
+    try:
+        return [cast(v) for v in vals]
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} {text!r}: {exc}") from exc
 
 
 def parse_point(text: str, n: int) -> np.ndarray:
-    if text.startswith("@"):
-        vals = json.loads(Path(text[1:]).read_text())
-    else:
-        vals = [float(v) for v in text.split(",")]
-    x = np.asarray(vals, dtype=float)
+    x = np.array(parse_values(text, float, "point"), dtype=float)
     if x.shape != (n,):
         raise ValidationError(f"point has length {x.size}, graph has {n} vertices")
     return x
@@ -106,26 +119,15 @@ def positive_float(text: str) -> float:
     return v
 
 
-def _add_common(p: argparse.ArgumentParser, coupling_required: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--graph", required=True, help="graph JSON or edge-list file")
-    p.add_argument("--coupling", required=coupling_required,
-                   help="coupling JSON file")
+    p.add_argument("--coupling", required=True, help="coupling JSON file")
     p.add_argument("--out", help="write the JSON report here (default stdout)")
-    p.add_argument("--t-eq", type=positive_float, default=EQ_TOL_SCALE,
-                   help="equilibrium residual scale (default %(default)g)")
+
+
+def _add_t_zero(p: argparse.ArgumentParser):
     p.add_argument("--t-zero", type=positive_float, default=ZERO_TOL_SCALE,
                    help="zero-eigenvalue scale (default %(default)g)")
-    p.add_argument("--t-rank", type=positive_float, default=None,
-                   help="singular-value cutoff override for rank decisions")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: OCL_THREADS or 1)")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("OCL_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="homology dimension bounds")
     _add_common(p)
+    p.add_argument("--t-rank", type=positive_float, default=None,
+                   help="singular-value cutoff override for the incidence rank")
     p.add_argument("--cap", type=int, default=10_000, help="simple-cycle cap")
 
     p = sub.add_parser("solve", help="multistart equilibrium atlas")
@@ -150,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continue", help="trace or sample a manifold of equilibria")
     _add_common(p)
+    _add_t_zero(p)
     p.add_argument("--point", required=True, help="start point: 'a,b,...' or @file")
     p.add_argument("--mode", choices=("curve", "surface"), default="curve")
     p.add_argument("--direction", type=int, default=0)
@@ -161,6 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="classify an equilibrium")
     _add_common(p)
+    p.add_argument("--t-eq", type=positive_float, default=EQ_TOL_SCALE,
+                   help="equilibrium residual scale (default %(default)g)")
+    _add_t_zero(p)
     p.add_argument("--point", required=True)
     p.add_argument("--local-dim", type=int, default=None,
                    help="verified manifold dimension at the point, if known")
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling")
     p.add_argument("--point")
     p.add_argument("--out")
-    p.add_argument("--t-zero", type=positive_float, default=ZERO_TOL_SCALE)
+    _add_t_zero(p)
 
     p = sub.add_parser("corpus", help="bundled example scenarios")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
@@ -211,10 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = corpus_sub.add_parser("run")
     q.add_argument("name")
     q.add_argument("--out")
-    q.add_argument("--threads", type=int, default=None)
-    q = corpus_sub.add_parser("run-all")
-    q.add_argument("--out")
-    q.add_argument("--threads", type=int, default=None)
+    corpus_sub.add_parser("run-all").add_argument("--out")
 
     return ap
 
@@ -237,9 +242,8 @@ def _cmd_solve(args) -> int:
     f = load_coupling(args.coupling)
     atlas = equilibria.multistart_atlas(
         G, f, n_starts=args.starts, seed=args.seed, box_radius=args.box,
-        max_iter=args.max_iter, threads=_threads(args))
+        max_iter=args.max_iter)
     config = RunConfig("solve", args.graph, args.coupling, seed=args.seed,
-                       threads=_threads(args), eq_tol_scale=args.t_eq,
                        extras={"starts": args.starts, "box": args.box})
     emit({"config": config.to_dict(), "atlas": atlas.to_dict()}, args.out)
     return 0
@@ -250,8 +254,6 @@ def _cmd_continue(args) -> int:
     f = load_coupling(args.coupling)
     x = parse_point(args.point, G.n)
     p0 = equilibria.equilibrium_point(G, f, x)
-    if not p0.accepted(args.t_eq):
-        raise ValidationError(f"start point residual {p0.residual:.3e} too large")
     if args.mode == "curve":
         sample = continuation.trace_curve(
             G, f, p0, direction_index=args.direction, step=args.step,
@@ -290,7 +292,7 @@ def _cmd_stability(args) -> int:
                                  zero_scale=args.t_zero)
     membership = equilibria.membership_tests(G, f, p)
     config = RunConfig("stability", args.graph, args.coupling,
-                       zero_tol_scale=args.t_zero,
+                       eq_tol_scale=args.t_eq, zero_tol_scale=args.t_zero,
                        extras={"local_dim": args.local_dim})
     emit({"config": config.to_dict(), "report": rep.to_dict(),
           "membership": membership.to_dict()}, args.out)
@@ -336,9 +338,8 @@ def _cmd_basin(args) -> int:
     p = equilibria.equilibrium_point(G, f, x)
     rep = simulate_mod.basin_sample(G, f, p, radius=args.radius,
                                     trials=args.trials, seed=args.seed,
-                                    t_end=args.t_end, threads=_threads(args))
+                                    t_end=args.t_end)
     config = RunConfig("basin", args.graph, args.coupling, seed=args.seed,
-                       threads=_threads(args),
                        extras={"radius": args.radius, "trials": args.trials})
     emit({"config": config.to_dict(), "report": rep.to_dict()}, args.out)
     return 0
@@ -348,8 +349,7 @@ def _cmd_cover(args) -> int:
     G = load_graph(args.graph)
     H = load_graph(args.target)
     if args.cover_command == "check":
-        phi = [int(v) for v in (json.loads(Path(args.phi[1:]).read_text())
-                                if args.phi.startswith("@") else args.phi.split(","))]
+        phi = parse_values(args.phi, int, "--phi")
         plain = coverings.is_covering(phi, G, H)
         ok, degrees = coverings.is_generalized_covering(phi, G, H)
         report = {
@@ -368,9 +368,7 @@ def _cmd_cover(args) -> int:
         return 0
     # lift
     f = load_coupling(args.coupling)
-    phi_list = [int(v) for v in (json.loads(Path(args.phi[1:]).read_text())
-                                 if args.phi.startswith("@") else args.phi.split(","))]
-    phi = coverings.validated_vertex_map(phi_list, G, H)
+    phi = coverings.validated_vertex_map(parse_values(args.phi, int, "--phi"), G, H)
     y = parse_point(args.point, H.n)
     y_point = equilibria.equilibrium_point(H, f, y)
     lifted = coverings.lift_equilibrium(phi, y_point, G, H, f)
@@ -384,6 +382,8 @@ def _cmd_cover(args) -> int:
 
 def _cmd_blocks(args) -> int:
     from .graphs import block_decomposition
+    if bool(args.coupling) != bool(args.point):
+        raise ValidationError("blocks takes --coupling and --point together")
     G = load_graph(args.graph)
     decomp = block_decomposition(G)
     report: dict = {
@@ -392,7 +392,7 @@ def _cmd_blocks(args) -> int:
         "block_edges": [list(e) for e in decomp.block_edges],
         "cut_vertices": list(decomp.cut_vertices),
     }
-    if args.coupling and args.point:
+    if args.point:
         f = load_coupling(args.coupling)
         x = parse_point(args.point, G.n)
         rep = stability_mod.block_stability(G, f, x, zero_scale=args.t_zero)
@@ -406,11 +406,10 @@ def _cmd_corpus(args) -> int:
         for name in sorted(corpus.REGISTRY):
             print(f"{name:18s} {corpus.REGISTRY[name].description}")
         return 0
-    threads = max(1, args.threads) if args.threads else 1
     if args.corpus_command == "run":
-        reports = [corpus.run_example(args.name, threads=threads)]
+        reports = [corpus.run_example(args.name)]
     else:
-        reports = corpus.run_all(threads=threads)
+        reports = corpus.run_all()
     failures = 0
     for rep in reports:
         for check in rep.checks:
@@ -450,3 +449,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

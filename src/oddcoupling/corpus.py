@@ -138,7 +138,7 @@ class CorpusExample:
     name: str
     description: str
     build: Callable[[], tuple[Graph, CouplingFunction]]
-    scenario: Callable[[Graph, CouplingFunction, int], ExampleReport]
+    scenario: Callable[[Graph, CouplingFunction], ExampleReport]
 
 
 def _classify_with_kernel(G, f, p):
@@ -162,11 +162,11 @@ def _bounds_check(name, G, f, observed_dim):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_k4_sin(G, f, threads):
+def _scenario_k4_sin(G, f):
     desc = ("complete graph on 4 vertices with sine coupling: one stable point, "
             "four isolated saddles, and closed curves of unstable equilibria")
     atlas = equilibria.multistart_atlas(G, f, n_starts=2000, seed=DEFAULT_SEED,
-                                        box_radius=math.pi + 0.3, threads=threads)
+                                        box_radius=math.pi + 0.3)
     stable_isolated = []
     saddles = []
     curve_seeds = []
@@ -205,7 +205,7 @@ def _scenario_k4_sin(G, f, threads):
     return ExampleReport("k4-sin", desc, tuple(checks), observed, bounds)
 
 
-def _scenario_c3_cubic(G, f, threads):
+def _scenario_c3_cubic(G, f):
     desc = ("3-cycle with cubic coupling x^3 - x: a closed curve of stable "
             "equilibria plus an isolated unstable point")
     p0 = equilibria.equilibrium_point(G, f, np.array([0.0, 1.0, 0.0]))
@@ -223,7 +223,7 @@ def _scenario_c3_cubic(G, f, threads):
                     "normally hyperbolic stable", all_stable, {}),
     ]
     atlas = equilibria.multistart_atlas(G, f, n_starts=500, seed=DEFAULT_SEED,
-                                        box_radius=2.0, threads=threads)
+                                        box_radius=2.0)
     most_negative = min(
         (stability.classify(G, f, p).min_eigenvalue for p in atlas.points),
         default=0.0)
@@ -247,7 +247,7 @@ def book_family_point(pages: int) -> np.ndarray:
 
 
 def _scenario_book(pages):
-    def run(G, f, threads):
+    def run(G, f):
         desc = (f"triangular book with {pages} pages and anti-periodic sine "
                 f"coupling: the page states move on a {pages - 1}-dimensional "
                 f"manifold of equilibria")
@@ -271,7 +271,7 @@ def _scenario_book(pages):
     return run
 
 
-def _scenario_k4_bifurcation(G, f, threads):
+def _scenario_k4_bifurcation(G, f):
     desc = ("complete graph on 4 vertices with sin x - sin 3x coupling: the "
             "curve (0, t, pi, pi+t) changes stability along itself; an extra "
             "eigenvalue vanishes at the self-intersection t = pi")
@@ -331,7 +331,7 @@ def k3_curve_point(f: CouplingFunction, lam: float) -> np.ndarray:
     return np.array([0.0, roots[0], roots[0] + roots[1]])
 
 
-def _scenario_cover7(G, f, threads):
+def _scenario_cover7(G, f):
     desc = ("asymmetric 7-vertex generalized covering of the triangle: the "
             "curve of triangle equilibria for x - x^3 lifts to a curve on the "
             "covering graph")
@@ -373,7 +373,7 @@ def theta_family_point() -> np.ndarray:
     return np.array([0.0, math.pi, x1, x2, x3])
 
 
-def _scenario_theta(G, f, threads):
+def _scenario_theta(G, f):
     desc = ("two degree-3 vertices joined by three 2-paths, sine coupling: "
             "pinning the hubs at 0 and pi leaves a 2-dimensional surface of "
             "equilibria")
@@ -396,7 +396,7 @@ def _scenario_theta(G, f, threads):
     return ExampleReport("theta-sin", desc, tuple(checks), 2, bounds)
 
 
-def _scenario_bowtie(G, f, threads):
+def _scenario_bowtie(G, f):
     desc = ("two triangles glued at a vertex, cubic coupling: equilibria and "
             "stability decompose block by block")
     pts = equilibria.zero_pattern_equilibria(G, f, 1.0)
@@ -431,7 +431,7 @@ def _scenario_bowtie(G, f, threads):
 
 
 def _scenario_bounds_only(name, desc, expect):
-    def run(G, f, threads):
+    def run(G, f):
         rep = homology.dimension_bounds(G, f)
         ok = all(getattr(rep, key) == val for key, val in expect.items())
         checks = (CheckResult(f"{name}-homology", "cycle structure matches the "
@@ -442,7 +442,7 @@ def _scenario_bounds_only(name, desc, expect):
 
 
 def _scenario_zero_pattern(name, z):
-    def run(G, f, threads):
+    def run(G, f):
         desc = ("binary splitting of a connected graph across a nonzero root "
                 "of the coupling: exactly 2^(n-1) equilibria")
         pts = equilibria.zero_pattern_equilibria(G, f, z)
@@ -545,13 +545,13 @@ def load_corpus_example(name: str) -> tuple[Graph, CouplingFunction, CorpusExamp
     return G, f, entry
 
 
-def run_example(name: str, threads: int = 1) -> ExampleReport:
+def run_example(name: str) -> ExampleReport:
     G, f, entry = load_corpus_example(name)
-    return entry.scenario(G, f, threads)
+    return entry.scenario(G, f)
 
 
-def run_all(threads: int = 1) -> list[ExampleReport]:
-    return [run_example(name, threads) for name in REGISTRY]
+def run_all() -> list[ExampleReport]:
+    return [run_example(name) for name in REGISTRY]
 
 
 def vertex_glued_graphs() -> list[tuple[str, Graph]]:

@@ -289,13 +289,17 @@ def make_sine_series(half_period: float, amplitudes) -> SineSeries:
 
 
 def coupling_from_dict(data: dict) -> CouplingFunction:
-    family = data.get("family")
-    if family == "odd_poly":
-        return make_polynomial(data["coeffs"])
-    if family == "sine_sum":
-        return make_sine_combination({int(k): v for k, v in data["terms"].items()})
-    if family == "sine_series":
-        return make_sine_series(data["P"], {int(k): v for k, v in data["terms"].items()})
+    family = data.get("family") if isinstance(data, dict) else None
+    try:
+        if family == "odd_poly":
+            return make_polynomial(data["coeffs"])
+        if family == "sine_sum":
+            return make_sine_combination({int(k): v for k, v in data["terms"].items()})
+        if family == "sine_series":
+            return make_sine_series(data["P"],
+                                    {int(k): v for k, v in data["terms"].items()})
+    except KeyError as exc:
+        raise ValidationError(f"{family} coupling JSON needs a {exc} field") from exc
     raise ValidationError(f"unknown coupling family {family!r}")
 
 

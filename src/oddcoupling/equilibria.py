@@ -8,7 +8,6 @@ around cycles are identified through the integer lattice {B^T k : k integer}.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -252,14 +251,13 @@ class EquilibriumAtlas:
 
 
 def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
-                     box_radius: float, max_iter: int = 80, threads: int = 1,
+                     box_radius: float, max_iter: int = 80,
                      dedup_distance: float = DEDUP_DISTANCE) -> EquilibriumAtlas:
     """Newton solves from seeded uniform starts in [-box, box]^n, deduplicated.
 
     Points on the same continuum are intentionally kept as distinct samples;
     only points within ``dedup_distance`` in (identified) edge space merge.
-    Output order is (residual, canonical coordinates), independent of the
-    worker schedule.
+    Output order is (residual, canonical coordinates).
     """
     if n_starts < 1:
         raise ValidationError("n_starts must be >= 1")
@@ -272,13 +270,7 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
         except NoConvergenceError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(attempt, starts))
-    else:
-        solved = [attempt(x0) for x0 in starts]
-
-    converged = [p for p in solved if p is not None]
+    converged = [p for p in map(attempt, starts) if p is not None]
     converged.sort(key=lambda p: (p.residual, tuple(p.canonical)))
     kept: list[EquilibriumPoint] = []
     for p in converged:

@@ -7,6 +7,7 @@ round-trips exactly and identical runs produce byte-identical reports.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring  # json.dumps(s, ensure_ascii=False)
 from typing import Any
 
 import numpy as np
@@ -40,14 +41,14 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
-            out.append(pad + '"' + str(key) + '": ')
+            out.append(pad + encode_basestring(str(key)) + ": ")
             _write(val, out, indent, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")

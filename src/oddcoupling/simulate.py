@@ -8,7 +8,6 @@ integrator, not dynamics).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +153,7 @@ class BasinReport:
 
 def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: float,
                  trials: int, seed: int, t_end: float = 50.0,
-                 component: tuple[EquilibriumPoint, ...] | None = None,
-                 threads: int = 1) -> BasinReport:
+                 component: tuple[EquilibriumPoint, ...] | None = None) -> BasinReport:
     """Integrate from seeded perturbations of edge-space size ``radius``.
 
     Excursion distances are measured in edge space (winding-identified for
@@ -182,12 +180,7 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
                          for a in anchors)
         return max(dists), final_dist
 
-    deltas = [rng.standard_normal(G.n) for _ in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_trial, deltas))
-    else:
-        outcomes = [one_trial(d) for d in deltas]
+    outcomes = [one_trial(rng.standard_normal(G.n)) for _ in range(trials)]
 
     excursions = [o[0] for o in outcomes]
     finals = [o[1] for o in outcomes]

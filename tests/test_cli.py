@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oddcoupling
 from oddcoupling.cli import run
 from oddcoupling.jsonio import dumps
 
@@ -176,6 +181,13 @@ def test_blocks_subcommand(workdir):
     assert rep["stability"]["combined_verdict"] == "linearly_stable_up_to_symmetry"
 
 
+def test_blocks_coupling_without_point_exits_2(workdir, capsys):
+    code = run(["blocks", "--graph", str(workdir / "k4.json"),
+                "--coupling", str(workdir / "sin.json")])
+    assert code == 2
+    assert "--point" in capsys.readouterr().err
+
+
 def test_corpus_list(capsys):
     assert run(["corpus", "list"]) == 0
     out = capsys.readouterr().out
@@ -205,11 +217,99 @@ def test_json_float_format_round_trip():
     assert back == vals
 
 
-def test_threads_env_fallback(workdir, monkeypatch):
-    monkeypatch.setenv("OCL_THREADS", "3")
-    out = workdir / "env.json"
-    code = run(["solve", "--graph", str(workdir / "k4.json"),
-                "--coupling", str(workdir / "sin.json"),
-                "--starts", "20", "--seed", "1", "--out", str(out)])
+def test_json_escapes_strings_and_keys():
+    obj = {'key "quoted"\nline': 'path\\with "quote"\ttab\x01', "plain": "été"}
+    text = dumps(obj)
+    assert json.loads(text) == obj
+    assert '"plain": "été"' in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x0", "0,0,0,0", "--threads", "2"],
+    ["simulate", "--x0", "0,0,0,0", "--t-zero", "1e-3"],
+    ["solve", "--t-eq", "1e-3"],
+    ["solve", "--threads", "2"],
+    ["basin", "--point", "0,0,0,0", "--t-rank", "1e-3"],
+    ["continue", "--point", "0,0,0,0", "--t-eq", "1e-3"],
+    ["stability", "--point", "0,0,0,0", "--t-rank", "1e-3"],
+    ["bounds", "--t-zero", "1e-3"],
+    ["corpus", "run", "p3-sin", "--threads", "2"],
+    ["corpus", "run-all", "--threads", "2"],
+])
+def test_removed_flag_exits_2(workdir, argv, capsys):
+    if argv[0] != "corpus":
+        argv = argv[:1] + ["--graph", str(workdir / "k4.json"),
+                           "--coupling", str(workdir / "sin.json")] + argv[1:]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_stability_echoes_t_eq(workdir):
+    out = workdir / "s.json"
+    code = run(["stability", "--graph", str(workdir / "k4.json"),
+                "--coupling", str(workdir / "sin.json"), "--point", "0,0,0,0",
+                "--t-eq", "1e-6", "--out", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["config"]["threads"] == 3
+    assert json.loads(out.read_text())["config"]["eq_tol_scale"] == 1e-6
+
+
+def test_continue_rejects_off_tolerance_start(workdir, capsys):
+    (workdir / "c3.json").write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    code = run(["continue", "--graph", str(workdir / "c3.json"),
+                "--coupling", str(workdir / "cubic.json"), "--point", "0,1.00001,0"])
+    assert code == 2
+    assert "start residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    ("--coupling", {"family": "odd_poly"}, "'coeffs'"),
+    ("--coupling", {"family": "sine_series", "terms": {"1": 1.0}}, "'P'"),
+    ("--coupling", [1, 2], "unknown coupling family"),
+    ("--coupling", "{not json", "invalid input file"),
+    ("--graph", '{"n": 2, "edges": [[0, 1]', "invalid input file"),
+    ("--graph", None, "No such file"),
+])
+def test_malformed_input_file_exits_2(workdir, capsys, flag, content, message):
+    bad = workdir / "bad.json"
+    if content is not None:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    paths = {"--graph": workdir / "k4.json", "--coupling": workdir / "sin.json", flag: bad}
+    code = run(["bounds"] + [str(a) for item in paths.items() for a in item])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("point, message", [
+    ("a,b,c,d", "could not convert"),
+    ("@missing.json", "No such file"),
+    ("@broken.json", "Expecting value"),
+])
+def test_malformed_point_exits_2(workdir, capsys, monkeypatch, point, message):
+    monkeypatch.chdir(workdir)
+    (workdir / "broken.json").write_text("[0, 0,")
+    code = run(["stability", "--graph", "k4.json", "--coupling", "sin.json",
+                "--point", point])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_phi_exits_2(workdir, capsys):
+    (workdir / "tri.json").write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    code = run(["cover", "check", "--graph", str(workdir / "tri.json"),
+                "--target", str(workdir / "tri.json"), "--phi", "0,x,2"])
+    assert code == 2
+    assert "--phi" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    src = Path(oddcoupling.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "oddcoupling.cli", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"ocl {oddcoupling.__version__}" == "ocl 0.1.0"
