@@ -62,10 +62,10 @@ class RunConfig:
 
 
 def read_input(path: str, parse=json.loads):
-    """``parse`` of a file's text; an unreadable file or bad JSON is invalid input."""
+    """``parse`` of a file's text; a file that cannot be read or parsed is invalid input."""
     try:
         return parse(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ArithmeticError, AttributeError, TypeError, ValueError) as exc:
         raise ValidationError(f"invalid input file {path}: {exc}") from exc
 
 
@@ -78,7 +78,7 @@ def load_graph(path: str) -> Graph:
 
 
 def load_coupling(path: str) -> CouplingFunction:
-    return coupling_from_dict(read_input(path))
+    return read_input(path, lambda text: coupling_from_dict(json.loads(text)))
 
 
 def parse_values(text: str, cast, what: str) -> list:
@@ -157,10 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_t_zero(p)
     p.add_argument("--point", required=True, help="start point: 'a,b,...' or @file")
     p.add_argument("--mode", choices=("curve", "surface"), default="curve")
-    p.add_argument("--direction", type=int, default=0)
     p.add_argument("--step", type=positive_float, default=CONTINUATION_STEP)
-    p.add_argument("--max-steps", type=int, default=400)
-    p.add_argument("--budget", type=int, default=400, help="surface point budget")
+    p.add_argument("--direction", type=int, help="curve: kernel direction (default 0)")
+    p.add_argument("--max-steps", type=int, help="curve: step budget (default 400)")
+    p.add_argument("--budget", type=int, help="surface: point budget (default 400)")
     p.add_argument("--csv", help="write per-point CSV here")
     p.add_argument("--spectrum-csv", help="write eigenvalues along the sample here")
 
@@ -250,27 +250,30 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_continue(args) -> int:
+    if args.mode == "curve":
+        run_mode = continuation.trace_curve
+        other = {"--budget": args.budget}
+        kwargs = {"direction_index": args.direction, "max_steps": args.max_steps}
+    else:
+        run_mode = continuation.sample_manifold
+        other = {"--direction": args.direction, "--max-steps": args.max_steps}
+        kwargs = {"budget": args.budget}
+    given = [flag for flag, value in other.items() if value is not None]
+    if given:
+        raise ValidationError(f"{', '.join(given)}: not a --mode {args.mode} flag")
     G = load_graph(args.graph)
     f = load_coupling(args.coupling)
-    x = parse_point(args.point, G.n)
-    p0 = equilibria.equilibrium_point(G, f, x)
-    if args.mode == "curve":
-        sample = continuation.trace_curve(
-            G, f, p0, direction_index=args.direction, step=args.step,
-            max_steps=args.max_steps, zero_scale=args.t_zero)
-    else:
-        sample = continuation.sample_manifold(
-            G, f, p0, step=args.step, budget=args.budget, zero_scale=args.t_zero)
+    p0 = equilibria.equilibrium_point(G, f, parse_point(args.point, G.n))
+    sample = run_mode(G, f, p0, step=args.step, zero_scale=args.t_zero,
+                      **{k: v for k, v in kwargs.items() if v is not None})
     if args.csv:
         rows = [[i] + list(p.x) + [d, int(i in sample.singular_flags)]
                 for i, (p, d) in enumerate(zip(sample.points, sample.local_dim))]
         write_csv(args.csv, ["index"] + [f"x{v}" for v in range(G.n)]
                   + ["local_dim", "singular"], rows)
     if args.spectrum_csv:
-        rows = []
-        for i, p in enumerate(sample.points):
-            evals = np.linalg.eigvalsh(stability_mod.hessian(G, f, p.x))
-            rows.append([i] + list(evals))
+        rows = [[i] + list(stability_mod.Spectrum.at(G, f, p.x).values)
+                for i, p in enumerate(sample.points)]
         write_csv(args.spectrum_csv,
                   ["index"] + [f"lambda{j}" for j in range(G.n)], rows)
     config = RunConfig("continue", args.graph, args.coupling,
@@ -439,7 +442,7 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an unwritable output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -14,17 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import CONTINUATION_STEP, ZERO_TOL_SCALE, eq_tolerance, zero_tolerance
+from .defaults import CONTINUATION_STEP, ZERO_TOL_SCALE, eq_tolerance
 from .equilibria import (
     EquilibriumPoint,
     _operators,
     edge_space_distance,
     equilibrium_point,
+    hessian,
+    vector_field,
     wrap_to_fundamental,
 )
 from .errors import NotOnManifoldError, ValidationError
 from .graphs import Graph
-from .stability import hessian
+from .stability import Spectrum
 
 __all__ = ["LocalDimension", "ManifoldSample", "local_dimension", "trace_curve",
            "sample_manifold"]
@@ -41,33 +43,20 @@ class LocalDimension:
 
     d: int
     kernel_basis: np.ndarray  # (n, d)
-    zero_eigenvalues: tuple[float, ...]
-    threshold: float
+    spectrum: Spectrum        # eigh's eigenvalues and their zero bucket
     gap: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "zero_eigenvalues": list(self.zero_eigenvalues),
-            "threshold": self.threshold,
-            "gap": list(self.gap),
-        }
 
 
 def local_dimension(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
                     zero_scale: float = ZERO_TOL_SCALE) -> LocalDimension:
-    """Tangent-space dimension estimate at an accepted equilibrium."""
-    H = hessian(G, f, p.x)
-    evals, evecs = np.linalg.eigh(H)
-    thr = zero_tolerance(evals, zero_scale)
-    zero_mask = np.abs(evals) <= thr
-    zero_mult = int(np.sum(zero_mask))
-    d = max(0, zero_mult - G.c)
+    """Tangent-space dimension at an accepted equilibrium (eigh, for the eigenvectors)."""
+    evals, evecs = np.linalg.eigh(hessian(G, f, p.x))
+    spec = Spectrum.of(evals, zero_scale)
+    zero_mask = spec.zero_mask
+    d = max(0, spec.zero_multiplicity - G.c)
 
-    nonzero_abs = np.abs(evals[~zero_mask])
-    zero_abs = np.abs(evals[zero_mask])
-    gap = (float(nonzero_abs.min()) if nonzero_abs.size else np.inf,
-           float(zero_abs.max()) if zero_abs.size else 0.0)
+    gap = (float(np.min(np.abs(evals[~zero_mask]), initial=np.inf)),
+           float(np.max(np.abs(evals[zero_mask]), initial=0.0)))
 
     _, _, D = _operators(G)
     Dn = D / np.sqrt(D.sum(axis=1, keepdims=True))
@@ -83,8 +72,7 @@ def local_dimension(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
     return LocalDimension(
         d=d,
         kernel_basis=basis,
-        zero_eigenvalues=tuple(float(v) for v in evals[zero_mask]),
-        threshold=thr,
+        spectrum=spec,
         gap=gap,
     )
 
@@ -128,11 +116,11 @@ def _correct(G: Graph, f: CouplingFunction, x_pred: np.ndarray,
              tangents: np.ndarray, max_iter: int = 30) -> np.ndarray | None:
     """Newton iteration for F(x) = 0 in the affine slice through x_pred
     orthogonal to the given tangent directions and to the translations."""
-    B, Bt, D = _operators(G)
+    _, _, D = _operators(G)
     T = np.atleast_2d(tangents)
     x = x_pred.copy()
     for _ in range(max_iter):
-        F = -(B @ np.asarray(f(Bt @ x)))
+        F = vector_field(G, f, x)
         cons_t = T @ (x - x_pred)
         cons_d = D @ (x - x_pred)
         scale = 1.0 + float(np.max(np.abs(x)))
@@ -140,8 +128,7 @@ def _correct(G: Graph, f: CouplingFunction, x_pred: np.ndarray,
                 and np.max(np.abs(cons_t), initial=0.0) <= 1e-9 * scale
                 and np.max(np.abs(cons_d), initial=0.0) <= 1e-9 * scale):
             return x
-        J = -(B * np.asarray(f.deriv(Bt @ x))) @ Bt
-        A = np.vstack([J, T, D])
+        A = np.vstack([-hessian(G, f, x), T, D])
         r = np.concatenate([F, cons_t, cons_d])
         delta, *_ = np.linalg.lstsq(A, -r, rcond=None)
         if not np.all(np.isfinite(delta)):

@@ -141,11 +141,6 @@ class CorpusExample:
     scenario: Callable[[Graph, CouplingFunction], ExampleReport]
 
 
-def _classify_with_kernel(G, f, p):
-    d = stability.kernel_excess(G, f, p)
-    return d, stability.classify(G, f, p, local_dim=d if d >= 1 else None)
-
-
 def _bounds_check(name, G, f, observed_dim):
     rep = homology.dimension_bounds(G, f)
     ok = observed_dim is None or observed_dim <= rep.min_applicable()
@@ -171,7 +166,7 @@ def _scenario_k4_sin(G, f):
     saddles = []
     curve_seeds = []
     for p in atlas.points:
-        d, rep = _classify_with_kernel(G, f, p)
+        d, rep = stability.classify_with_kernel(G, f, p)
         if d == 0 and rep.verdict == stability.Verdict.LINEARLY_STABLE:
             stable_isolated.append(p)
         elif d == 0 and rep.verdict == stability.Verdict.UNSTABLE:
@@ -285,7 +280,7 @@ def _scenario_k4_bifurcation(G, f):
         p = equilibria.equilibrium_point(G, f, x)
         if not p.accepted():
             all_equilibria = False
-        d, rep = _classify_with_kernel(G, f, p)
+        d, rep = stability.classify_with_kernel(G, f, p)
         zero_mults.append(rep.zero_multiplicity)
         if rep.verdict == stability.Verdict.UNSTABLE:
             labels.append("U")
@@ -402,7 +397,7 @@ def _scenario_bowtie(G, f):
     pts = equilibria.zero_pattern_equilibria(G, f, 1.0)
     agree = 0
     for p in pts:
-        d, direct = _classify_with_kernel(G, f, p)
+        d, direct = stability.classify_with_kernel(G, f, p)
         blocks = stability.block_stability(G, f, p.x)
         if direct.verdict == blocks.combined_verdict:
             agree += 1
@@ -417,7 +412,7 @@ def _scenario_bowtie(G, f):
     x[[0, 1, 2]] = arc
     x[[3, 4]] = arc[1:]
     p = equilibria.equilibrium_point(G, f, x)
-    d, direct = _classify_with_kernel(G, f, p)
+    d, direct = stability.classify_with_kernel(G, f, p)
     blocks = stability.block_stability(G, f, p.x)
     checks.append(CheckResult(
         "bowtie-product-dim", "gluing one curve point per triangle gives a "

@@ -1,8 +1,8 @@
 """Shared numerical tolerances and budget defaults.
 
 Every threshold used by more than one module lives here so the CLI can
-override them in one place and so the kernel threshold used by the stability
-verdicts and by local-dimension estimation stay consistent.
+override them in one place. The zero-eigenvalue rule itself is
+``stability.Spectrum.of``, shared by the verdicts and local dimension.
 """
 
 import numpy as np
@@ -43,12 +43,6 @@ DEFAULT_SEED = 1729
 def eq_tolerance(x, scale: float = EQ_TOL_SCALE) -> float:
     """Residual acceptance threshold at state ``x``."""
     return scale * (1.0 + float(np.max(np.abs(x), initial=0.0)))
-
-
-def zero_tolerance(eigenvalues, scale: float = ZERO_TOL_SCALE) -> float:
-    """Threshold separating the zero bucket of a symmetric spectrum."""
-    lmax = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return scale * max(1.0, lmax)
 
 
 def rank_tolerance(n: int, m: int, sigma_max: float) -> float:

@@ -56,6 +56,14 @@ def energy(G: Graph, f: CouplingFunction, x) -> float:
     return float(np.sum(f.primitive(Bt @ x)))
 
 
+def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
+    """Energy Hessian B diag(f'(B^T x)) B^T, a weighted graph Laplacian;
+    minus the Jacobian of the vector field."""
+    B, Bt, _ = _operators(G)
+    x = np.asarray(x, dtype=float)
+    return (B * np.asarray(f.deriv(Bt @ x))) @ Bt
+
+
 def canonical_form(G: Graph, x) -> np.ndarray:
     """Project out the per-component mean (the translational symmetry)."""
     _, _, D = _operators(G)
@@ -183,20 +191,18 @@ def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60,
     the minimum-norm step is automatically orthogonal to the kernel. Progress
     is enforced by a backtracking line search on ||F||^2.
     """
-    B, Bt, _ = _operators(G)
     x = np.array(x0, dtype=float)
     if x.shape != (G.n,):
         raise ValidationError(f"x0 must have length {G.n}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("x0 must be finite")
 
-    Fx = -(B @ np.asarray(f(Bt @ x)))
+    Fx = vector_field(G, f, x)
     res = float(np.linalg.norm(Fx))
     for _ in range(max_iter):
         if res <= eq_tolerance(x, tol_scale):
             return equilibrium_point(G, f, x)
-        J = -(B * np.asarray(f.deriv(Bt @ x))) @ Bt
-        U, s, Vt = np.linalg.svd(J)
+        U, s, Vt = np.linalg.svd(-hessian(G, f, x))
         cutoff = rank_tolerance(G.n, G.n, float(s[0]) if s.size else 0.0)
         inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
         delta = -(Vt.T @ (inv * (U.T @ Fx)))
@@ -204,7 +210,7 @@ def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60,
         base = res * res
         while t > 1e-7:
             x_t = x + t * delta
-            F_t = -(B @ np.asarray(f(Bt @ x_t)))
+            F_t = vector_field(G, f, x_t)
             r_t = float(np.linalg.norm(F_t))
             if r_t * r_t <= (1.0 - 1e-4 * t) * base:
                 x, Fx, res = x_t, F_t, r_t

@@ -7,19 +7,19 @@ indicators (translations), so "stable" always means up to that symmetry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import ZERO_TOL_SCALE, eq_tolerance, zero_tolerance
-from .equilibria import EquilibriumPoint, equilibrium_point, _operators
+from .defaults import ZERO_TOL_SCALE, eq_tolerance
+from .equilibria import EquilibriumPoint, equilibrium_point, hessian  # re-exported
 from .errors import BlockMismatchError, ValidationError
-from .graphs import Graph, block_decomposition
+from .graphs import Graph, block_decomposition, induced_subgraph
 
-__all__ = ["Verdict", "StabilityReport", "hessian", "classify", "block_stability",
-           "BlockStabilityReport"]
+__all__ = ["Verdict", "StabilityReport", "BlockStabilityReport", "Spectrum", "hessian",
+           "classify", "classify_with_kernel", "kernel_excess", "block_stability"]
 
 
 class Verdict(str, Enum):
@@ -29,11 +29,27 @@ class Verdict(str, Enum):
     DEGENERATE = "degenerate"
 
 
-def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
-    """Energy Hessian B diag(f'(B^T x)) B^T; a weighted graph Laplacian."""
-    B, Bt, _ = _operators(G)
-    x = np.asarray(x, dtype=float)
-    return (B * np.asarray(f.deriv(Bt @ x))) @ Bt
+@dataclass(frozen=True)
+class Spectrum:
+    """Ascending Hessian eigenvalues and their zero bucket |lambda| <= threshold."""
+
+    values: np.ndarray
+    threshold: float
+    zero_multiplicity: int
+    zero_mask: np.ndarray
+
+    @classmethod
+    def of(cls, values, zero_scale: float = ZERO_TOL_SCALE) -> Spectrum:
+        thr = zero_scale * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+        mask = np.abs(values) <= thr
+        return cls(values, thr, int(np.sum(mask)), mask)
+
+    @classmethod
+    def at(cls, G: Graph, f: CouplingFunction, x,
+           zero_scale: float = ZERO_TOL_SCALE) -> Spectrum:
+        """One Hessian, one eigvalsh: reports print these values, which
+        differ from eigh's in the last bits."""
+        return cls.of(np.linalg.eigvalsh(hessian(G, f, x)), zero_scale)
 
 
 @dataclass(frozen=True)
@@ -53,15 +69,9 @@ class StabilityReport:
         return self.spectrum[0]
 
     def to_dict(self) -> dict:
-        return {
-            "spectrum": list(self.spectrum),
-            "rank": self.rank,
-            "zero_multiplicity": self.zero_multiplicity,
-            "verdict": self.verdict.value,
-            "manifold_dim": self.manifold_dim,
-            "rule": self.rule,
-            "zero_threshold": self.zero_threshold,
-        }
+        # keys in field order
+        return {**asdict(self), "spectrum": list(self.spectrum),
+                "verdict": self.verdict.value}
 
 
 def classify(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
@@ -79,12 +89,26 @@ def classify(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
       (d) otherwise                               -> DEGENERATE (no verdict;
           kernel directions without manifold evidence are never guessed)
     """
-    evals = np.linalg.eigvalsh(hessian(G, f, p.x))
-    thr = zero_tolerance(evals, zero_scale)
-    zero_mult = int(np.sum(np.abs(evals) <= thr))
-    rank = G.n - zero_mult
-    spectrum = tuple(float(v) for v in evals)
+    return _verdict(G, Spectrum.at(G, f, p.x, zero_scale), local_dim)
 
+
+def classify_with_kernel(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
+                         zero_scale: float = ZERO_TOL_SCALE) -> tuple[int, StabilityReport]:
+    """Kernel excess d, and the verdict with d as local dimension, from one spectrum."""
+    spec = Spectrum.at(G, f, p.x, zero_scale)
+    d = max(0, spec.zero_multiplicity - G.c)
+    return d, _verdict(G, spec, d if d >= 1 else None)
+
+
+def kernel_excess(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
+                  zero_scale: float = ZERO_TOL_SCALE) -> int:
+    """Kernel dimension of the Hessian beyond the c translation directions."""
+    return classify_with_kernel(G, f, p, zero_scale)[0]
+
+
+def _verdict(G: Graph, spec: Spectrum, local_dim: int | None) -> StabilityReport:
+    """The rules of :func:`classify` applied to a computed spectrum."""
+    evals, thr, zero_mult = spec.values, spec.threshold, spec.zero_multiplicity
     if evals[0] < -thr:
         verdict, d, rule = Verdict.UNSTABLE, None, "negative eigenvalue below -threshold"
     elif zero_mult == G.c:
@@ -99,22 +123,14 @@ def classify(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
                             "kernel exceeds translations without matching "
                             "manifold dimension; eigenvalues are inconclusive")
     return StabilityReport(
-        spectrum=spectrum,
-        rank=rank,
+        spectrum=tuple(float(v) for v in evals),
+        rank=G.n - zero_mult,
         zero_multiplicity=zero_mult,
         verdict=verdict,
         manifold_dim=d,
         rule=rule,
         zero_threshold=thr,
     )
-
-
-def kernel_excess(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
-                  zero_scale: float = ZERO_TOL_SCALE) -> int:
-    """Kernel dimension of the Hessian beyond the c translation directions."""
-    evals = np.linalg.eigvalsh(hessian(G, f, p.x))
-    thr = zero_tolerance(evals, zero_scale)
-    return max(0, int(np.sum(np.abs(evals) <= thr)) - G.c)
 
 
 @dataclass(frozen=True)
@@ -169,20 +185,16 @@ def block_stability(G: Graph, f: CouplingFunction, x,
                               f"(residual {p.residual:.3e})")
     decomp = block_decomposition(G)
     reports = []
-    for verts, eidxs in zip(decomp.blocks, decomp.block_edges):
-        relabel = {v: i for i, v in enumerate(verts)}
-        sub = Graph([(relabel[G.edges[e][0]], relabel[G.edges[e][1]]) for e in eidxs],
-                    n=len(verts))
+    for verts in decomp.blocks:
+        # every edge between two vertices of a block belongs to that block
+        sub, _ = induced_subgraph(G, verts)
         x_sub = x[list(verts)]
         p_sub = equilibrium_point(sub, f, x_sub)
         if p_sub.residual > 10 * eq_tolerance(x_sub):
             raise BlockMismatchError(
                 f"restriction to block {verts} has residual {p_sub.residual:.3e}; "
                 f"equilibria must restrict to block equilibria")
-        excess = kernel_excess(sub, f, p_sub, zero_scale)
-        reports.append(classify(sub, f, p_sub,
-                                local_dim=excess if excess >= 1 else None,
-                                zero_scale=zero_scale))
+        reports.append(classify_with_kernel(sub, f, p_sub, zero_scale)[1])
     verdict, d = combine_verdicts(reports)
     return BlockStabilityReport(
         block_vertices=decomp.blocks,

@@ -264,6 +264,24 @@ def test_continue_rejects_off_tolerance_start(workdir, capsys):
     assert "start residual" in capsys.readouterr().err
 
 
+def test_continue_rejects_other_mode_flags(workdir, capsys):
+    (workdir / "c3.json").write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    base = ["continue", "--graph", str(workdir / "c3.json"),
+            "--coupling", str(workdir / "cubic.json"), "--point", "0,1,0"]
+    for mode, flags in [("curve", ["--budget", "3"]),
+                        ("surface", ["--direction", "0"]),
+                        ("surface", ["--max-steps", "3", "--budget", "20"])]:
+        assert run(base + ["--mode", mode] + flags) == 2
+        assert f"{flags[0]}: not a --mode {mode} flag" in capsys.readouterr().err
+    # an absent mode flag keeps its default
+    outs = [workdir / "default.json", workdir / "explicit.json"]
+    assert run(base + ["--out", str(outs[0])]) == 0
+    assert run(base + ["--max-steps", "400", "--direction", "0",
+                       "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("flag, content, message", [
     ("--coupling", {"family": "odd_poly"}, "'coeffs'"),
     ("--coupling", {"family": "sine_series", "terms": {"1": 1.0}}, "'P'"),
@@ -271,9 +289,17 @@ def test_continue_rejects_off_tolerance_start(workdir, capsys):
     ("--coupling", "{not json", "invalid input file"),
     ("--graph", '{"n": 2, "edges": [[0, 1]', "invalid input file"),
     ("--graph", None, "No such file"),
+    ("--coupling", {"family": "sine_sum", "terms": {"a": 1}}, "invalid literal"),
+    ("--coupling", {"family": "sine_sum", "terms": [1]}, "no attribute 'items'"),
+    ("--coupling", {"family": "odd_poly", "coeffs": "x"}, "could not convert"),
+    ("--graph", {"edges": 5}, "not iterable"),
+    ("--graph", {"n": "x", "edges": [[0, 1]]}, "not supported between"),
+    ("--out", None, "No such file"),
 ])
 def test_malformed_input_file_exits_2(workdir, capsys, flag, content, message):
-    bad = workdir / "bad.json"
+    # a file that is not written sits in a missing directory, so that it can
+    # be neither read nor written
+    bad = workdir / ("bad.json" if content is not None else "missing/bad.json")
     if content is not None:
         bad.write_text(content if isinstance(content, str) else json.dumps(content))
     paths = {"--graph": workdir / "k4.json", "--coupling": workdir / "sin.json", flag: bad}

@@ -18,7 +18,7 @@ from oddcoupling import (
 )
 from oddcoupling.corpus import bowtie_graph, complete_graph, cycle_graph
 from oddcoupling.errors import ValidationError
-from oddcoupling.stability import kernel_excess
+from oddcoupling.stability import classify_with_kernel, kernel_excess
 
 from helpers import random_connected_graph, random_graph
 
@@ -176,6 +176,22 @@ def test_block_stability_agrees_with_direct():
         direct = classify(G, SIN, p, local_dim=d if d >= 1 else None)
         combined = block_stability(G, SIN, p.x)
         assert direct.verdict == combined.combined_verdict
+        # one spectrum gives the same excess and the same report as the two
+        # separate calls
+        assert classify_with_kernel(G, SIN, p) == (d, direct)
+
+
+def test_report_spectrum_is_eigvalsh():
+    # reports print these values; eigh's eigenvalues differ in the last bits,
+    # so a switch to eigh would change report bytes
+    rng = np.random.default_rng(89)
+    for _ in range(20):
+        G = random_connected_graph(rng, n_max=7)
+        f = [SIN, CUBIC][int(rng.integers(2))]
+        p = equilibrium_point(G, f, rng.uniform(-2, 2, G.n))
+        expected = tuple(np.linalg.eigvalsh(hessian(G, f, p.x)))
+        assert classify(G, f, p).spectrum == expected
+        assert classify_with_kernel(G, f, p)[1].spectrum == expected
 
 
 def test_block_stability_validates_input():
