@@ -45,15 +45,16 @@ def vector_field(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     return -(B @ np.asarray(f(Bt @ x)))
 
 
-def energy(G: Graph, f: CouplingFunction, x) -> float:
+def energy(G: Graph, f: CouplingFunction, x):
     """Sum over oriented edges of g(x_head - x_tail), g the primitive of f.
 
     Defined only up to a constant (g(0) = 0 normalisation); compare energy
-    differences, never absolute values.
+    differences, never absolute values. A stack ``x`` of shape (k, n) gives
+    an array of k energies.
     """
-    _, Bt, _ = _operators(G)
-    x = np.asarray(x, dtype=float)
-    return float(np.sum(f.primitive(Bt @ x)))
+    B, _, _ = _operators(G)
+    e = f.primitive(np.asarray(x, dtype=float) @ B).sum(axis=-1)
+    return float(e) if e.ndim == 0 else e
 
 
 def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
@@ -100,64 +101,31 @@ def equilibrium_point(G: Graph, f: CouplingFunction, x) -> EquilibriumPoint:
 # periodic identification lattice
 # ---------------------------------------------------------------------------
 
-def _integer_potential(G: Graph, z: np.ndarray) -> np.ndarray | None:
-    """Vertex vector k with k_head - k_tail = z_e on every edge, or None.
-
-    Existence is exactly the statement that the integer edge vector z is a
-    cut vector B^T k; it is decided by propagating a potential along a
-    spanning tree and verifying the remaining edges.
-    """
-    k = np.zeros(G.n)
-    seen = [False] * G.n
-    for root in range(G.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in G.neighbors[v]:
-                if seen[w]:
-                    continue
-                idx, sign = G.edge_index(v, w)
-                k[w] = k[v] + sign * z[idx]
-                seen[w] = True
-                stack.append(w)
-    for idx, (u, v) in enumerate(G.edges):
-        if k[v] - k[u] != z[idx]:
-            return None
-    return k
+@lru_cache(maxsize=256)
+def _cycle_matrix(G: Graph) -> np.ndarray:
+    """Integer cycle-basis matrix C, shape (m, dim H1), as a float array."""
+    C = homology.cycle_space_matrix(G).astype(float)
+    C.setflags(write=False)
+    return C
 
 
-def winding_shift(G: Graph, delta_y, period: float,
-                  tol: float | None = None) -> np.ndarray | None:
-    """Integer vertex vector k with delta_y = period * B^T k, if one exists.
-
-    Edge-space images of states that are equal on the torus (all coordinates
-    mod period) differ by exactly such a shift.
-    """
-    delta_y = np.asarray(delta_y, dtype=float)
-    if tol is None:
-        tol = 1e-7 * max(1.0, period)
-    z = np.round(delta_y / period)
-    if float(np.linalg.norm(delta_y - period * z)) > tol:
-        return None
-    return _integer_potential(G, z)
-
-
-def edge_space_distance(G: Graph, y1, y2, period: float | None = None) -> float:
+def edge_space_distance(G: Graph, y1, y2, period: float | None = None):
     """Euclidean distance in edge space, reduced by the winding lattice when
-    the coupling is periodic."""
+    the coupling is periodic.
+
+    A stack ``y1`` of shape (k, m) gives an array of k distances, each equal
+    bit for bit to the single-image call.
+    """
     delta = np.asarray(y1, dtype=float) - np.asarray(y2, dtype=float)
-    d0 = float(np.linalg.norm(delta))
-    if period is None or d0 == 0.0:
-        return d0
-    z = np.round(delta / period)
-    if not z.any():
-        return d0
-    if _integer_potential(G, z) is None:
-        return d0
-    return float(np.linalg.norm(delta - period * z))
+    if period is not None:
+        # the integer edge vector z is a winding shift B^T k exactly when it
+        # sums to zero around every cycle; C^T z is exact, C being integer
+        z = np.round(delta / period)
+        wound = np.all(z @ _cycle_matrix(G) == 0, axis=-1)
+        delta = np.where(wound[..., None], delta - period * z, delta)
+    # vecdot, like norm on one vector, sums with dot; norm(axis=-1) does not
+    d = np.sqrt(np.vecdot(delta, delta))
+    return float(d) if d.ndim == 0 else d
 
 
 def points_equivalent(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
@@ -279,8 +247,11 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
     converged = [p for p in map(attempt, starts) if p is not None]
     converged.sort(key=lambda p: (p.residual, tuple(p.canonical)))
     kept: list[EquilibriumPoint] = []
+    kept_y = np.empty((len(converged), G.m))
     for p in converged:
-        if all(not points_equivalent(G, f, p, q, dedup_distance) for q in kept):
+        near = edge_space_distance(G, kept_y[:len(kept)], p.y, period=f.periodic)
+        if not np.any(near <= dedup_distance):
+            kept_y[len(kept)] = p.y
             kept.append(p)
     return EquilibriumAtlas(
         points=tuple(kept),
@@ -351,7 +322,7 @@ class MembershipReport:
 
 @lru_cache(maxsize=256)
 def _cycle_projector(G: Graph) -> np.ndarray | None:
-    C = homology.cycle_space_matrix(G).astype(float)
+    C = _cycle_matrix(G)
     if C.shape[1] == 0:
         return None
     Q, _ = np.linalg.qr(C)
@@ -393,14 +364,6 @@ class EquilibriaPrediction:
     global_convergence: bool          # increasing coupling: every trajectory -> 0
     nonzero_roots: tuple[float, ...]  # witnesses found in the scanned range
     scanned: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "class": self.kind.value,
-            "global_convergence": self.global_convergence,
-            "nonzero_roots": list(self.nonzero_roots),
-            "scanned": list(self.scanned),
-        }
 
 
 def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPrediction:

@@ -57,6 +57,8 @@ class Graph:
             n = n_min
         elif n < n_min:
             raise ValidationError(f"n={n} is smaller than the largest vertex label")
+        elif isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"n={n!r} is not an integer")
         self.n = int(n)
         self.edges = tuple((int(j), int(k)) for j, k in edges)
 

@@ -102,17 +102,22 @@ def cycle_space_matrix(G: Graph) -> np.ndarray:
     return np.column_stack([b.as_array() for b in basis])
 
 
-def _enumerate_up_to(G: Graph, cap: int) -> tuple[list[CycleVector], bool]:
+def _enumerate_up_to(G: Graph, cap: int,
+                     deadline: float | None = None) -> tuple[list[CycleVector], bool]:
     """All simple cycles, one orientation each, deterministic order.
 
     Cycles are generated per root vertex r (the minimum vertex of the cycle)
     by DFS over paths through vertices > r; each cycle appears twice, once per
-    direction, and the copy with walk[1] < walk[-1] is kept.
+    direction, and the copy with walk[1] < walk[-1] is kept. The second value
+    is True when the list was cut short by ``cap`` or by the ``deadline``, a
+    ``time.monotonic`` value.
     """
     cycles = []
     for root in range(G.n):
         stack = [(root, (root,))]
         while stack:
+            if deadline is not None and time.monotonic() > deadline:
+                return cycles, True
             v, path = stack.pop()
             for w in G.neighbors[v]:
                 if w == root and len(path) >= 3 and path[1] < path[-1]:
@@ -139,12 +144,15 @@ def cycle_chain_number(G: Graph, cap: int = CYCLE_CAP,
     edge, non-consecutive cycles are edge-disjoint.
 
     Returns (cc, exact); exact is False when the cycle enumeration hit the cap
-    or the DFS ran out of its wall-clock budget, in which case cc is a lower
-    bound.
+    or the enumeration or the DFS ran out of the wall-clock budget, in which
+    case cc is a lower bound.
     """
-    cycles, truncated = _enumerate_up_to(G, cap)
+    deadline = time.monotonic() + time_budget if time_budget else None
+    cycles, truncated = _enumerate_up_to(G, cap, deadline)
     if not cycles:
-        return 0, not truncated
+        # the DFS can search long before its first cycle; any cycle is a
+        # chain of length one, and one exists exactly when dim H1 >= 1
+        return min(1, G.m - G.n + G.c), not truncated
     masks = []
     for cv in cycles:
         mask = 0
@@ -152,13 +160,14 @@ def cycle_chain_number(G: Graph, cap: int = CYCLE_CAP,
             mask |= 1 << e
         masks.append(mask)
     n_cyc = len(masks)
-    deadline = time.monotonic() + time_budget if time_budget else None
     timed_out = False
     best = 1
 
     # pair[i] = bitset of j sharing exactly one edge with i
     share_one = [0] * n_cyc
     for i in range(n_cyc):
+        if deadline is not None and time.monotonic() > deadline:
+            return best, False
         for j in range(i + 1, n_cyc):
             if (masks[i] & masks[j]).bit_count() == 1:
                 share_one[i] |= 1 << j

@@ -24,6 +24,7 @@ from .defaults import (
 from .equilibria import (
     EquilibriumPoint,
     _operators,
+    canonical_form,
     edge_space_distance,
     energy,
     equilibrium_point,
@@ -63,13 +64,13 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (G.n,):
         raise ValidationError(f"x0 must have length {G.n}")
-    B, Bt, D = _operators(G)
+    _, _, D = _operators(G)
 
     def rhs(_t, x):
-        return -(B @ np.asarray(f(Bt @ x)))
+        return vector_field(G, f, x)
 
     def settled(_t, x):
-        return float(np.linalg.norm(rhs(_t, x))) - eq_tolerance(x)
+        return float(np.linalg.norm(vector_field(G, f, x))) - eq_tolerance(x)
 
     settled.terminal = True
     settled.direction = -1
@@ -83,7 +84,7 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     states = sol.y.T
     comp_sums = states @ D.T                     # (T, c)
     drift = float(np.max(np.abs(comp_sums - comp_sums[0]), initial=0.0))
-    energies = np.array([energy(G, f, x) for x in states])
+    energies = energy(G, f, states)
 
     if mono_check and energies.size > 1:
         slack = mono_tolerance(float(energies[0]))
@@ -162,23 +163,21 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
     """
     if p.residual > eq_tolerance(p.x):
         raise ValidationError(f"residual {p.residual:.3e}: not an accepted equilibrium")
-    _, Bt, D = _operators(G)
+    B, Bt, _ = _operators(G)
     rng = np.random.default_rng(seed)
-    anchors = (component or ()) + (p,)
+    anchors_y = np.array([a.y for a in (component or ()) + (p,)])
 
     def one_trial(delta):
-        delta = delta - D.T @ ((D @ delta) / D.sum(axis=1))
+        delta = canonical_form(G, delta)
         nrm = float(np.linalg.norm(Bt @ delta))
         if nrm == 0.0:
             return 0.0, 0.0
         x0 = p.x + (radius / nrm) * delta
         traj = integrate(G, f, x0, t_end=t_end, mono_check=False)
-        dists = [edge_space_distance(G, Bt @ x, p.y, period=f.periodic)
-                 for x in traj.states]
-        final = traj.states[-1]
-        final_dist = min(edge_space_distance(G, Bt @ final, a.y, period=f.periodic)
-                         for a in anchors)
-        return max(dists), final_dist
+        ys = traj.states @ B
+        dists = edge_space_distance(G, ys, p.y, period=f.periodic)
+        final_dist = edge_space_distance(G, anchors_y, ys[-1], period=f.periodic)
+        return float(dists.max()), float(final_dist.min())
 
     outcomes = [one_trial(rng.standard_normal(G.n)) for _ in range(trials)]
 

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
-from oddcoupling import build_graph
+from oddcoupling import build_graph, incidence_matrix
 
 
 def random_connected_graph(rng, n_max=10, extra_max=5):
@@ -91,3 +91,35 @@ def brute_force_cycle_chain(G):
     for c in cycles:
         extend([c])
     return best
+
+
+def is_winding_shift(G, z):
+    """Whether the integer edge vector z is B^T k for some vertex vector k,
+    decided by least squares (an integer z in the range of B^T is reached by
+    an integer k, B^T being totally unimodular)."""
+    A = incidence_matrix(G).B.T.astype(float)
+    k = np.linalg.lstsq(A, z, rcond=None)[0]
+    return float(np.linalg.norm(A @ k - z)) < 1e-9
+
+
+def greedy_dedup(G, f, points, distance):
+    """The quadratic greedy dedup: walk the points in order and keep one
+    unless its edge-space image lies within ``distance`` of a kept image,
+    after a periodic f removes a winding shift P B^T k from the difference.
+
+    Returns the kept points and the number of comparisons that removed a
+    nonzero winding."""
+    kept, wound = [], 0
+    for p in points:
+        for q in kept:
+            delta = p.y - q.y
+            if f.periodic is not None:
+                z = np.round(delta / f.periodic)
+                if z.any() and is_winding_shift(G, z):
+                    delta = delta - f.periodic * z
+                    wound += 1
+            if np.linalg.norm(delta) <= distance:
+                break
+        else:
+            kept.append(p)
+    return kept, wound

@@ -295,6 +295,8 @@ def test_continue_rejects_other_mode_flags(workdir, capsys):
     ("--graph", {"edges": 5}, "not iterable"),
     ("--graph", {"n": "x", "edges": [[0, 1]]}, "not supported between"),
     ("--out", None, "No such file"),
+    ("--graph", {"n": 2.5, "edges": [[0, 1]]}, "n=2.5 is not an integer"),
+    ("--graph", {"n": True, "edges": []}, "n=True is not an integer"),
 ])
 def test_malformed_input_file_exits_2(workdir, capsys, flag, content, message):
     # a file that is not written sits in a missing directory, so that it can

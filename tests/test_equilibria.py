@@ -19,11 +19,18 @@ from oddcoupling import (
     vector_field,
     zero_pattern_equilibria,
 )
-from oddcoupling.corpus import complete_graph, cycle_graph, path_graph, star_graph
-from oddcoupling.equilibria import EquilibriaClass, points_equivalent, winding_shift
+from oddcoupling.corpus import (
+    complete_graph,
+    cycle_graph,
+    load_corpus_example,
+    path_graph,
+    star_graph,
+)
+from oddcoupling.defaults import DEDUP_DISTANCE
+from oddcoupling.equilibria import EquilibriaClass, points_equivalent
 from oddcoupling.errors import NoConvergenceError, NotARootError, ValidationError
 
-from helpers import random_connected_graph, random_graph
+from helpers import greedy_dedup, random_connected_graph, random_graph
 
 SIN = make_sine_combination({1: 1.0})
 CUBIC = make_polynomial([-1.0, 1.0])  # x^3 - x
@@ -235,9 +242,6 @@ def test_winding_identification():
     # a half-period shift is not in the lattice
     r = equilibrium_point(G, SIN, x + math.pi * np.array([0.0, 1.0, 0.0, 1.0]))
     assert edge_space_distance(G, p.y, r.y, period=T) > 1.0
-    k = winding_shift(G, q.y - p.y, T)
-    assert k is not None
-    assert np.allclose(k - k[0], [0, 1, 0, 1])
 
 
 def test_canonical_form_zero_mean():
@@ -259,3 +263,48 @@ def test_accepted_points_pass_membership():
         except NoConvergenceError:
             continue
         assert membership_tests(G, SIN, p).passed
+
+
+def test_stacked_distance_is_bitwise_rowwise():
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        G = random_graph(rng, n_max=12, p=0.5)
+        Y = rng.uniform(-8, 8, (50, G.m))
+        y = rng.uniform(-8, 8, G.m)
+        # the single-image distance is the norm that reports have always printed
+        plain = edge_space_distance(G, Y, y)
+        assert plain.tolist() == [np.linalg.norm(row - y) for row in Y]
+        for period in (2 * math.pi, 1.5):
+            stacked = edge_space_distance(G, Y, y, period=period)
+            assert stacked.tolist() == [edge_space_distance(G, row, y, period=period)
+                                        for row in Y]
+
+
+@pytest.mark.parametrize("name, box_radius", [
+    ("k4-sin", math.pi + 0.3),
+    ("k4-sin3", math.pi + 0.3),
+    ("c3-cubic", 2.0),
+    ("book3-sin", math.pi + 0.3),
+    ("theta-sin", math.pi + 0.3),
+    ("bowtie-cubic", 2.0),
+    ("cover7-cubic", 2.0),
+    ("c5-sin", math.pi + 0.3),
+])
+def test_atlas_dedup_matches_greedy_oracle(name, box_radius):
+    G, f, _ = load_corpus_example(name)
+    n_starts, seed = 150, 17
+    atlas = multistart_atlas(G, f, n_starts=n_starts, seed=seed, box_radius=box_radius)
+    starts = np.random.default_rng(seed).uniform(-box_radius, box_radius,
+                                                 size=(n_starts, G.n))
+    converged = []
+    for x0 in starts:
+        try:
+            converged.append(newton_solve(G, f, x0, max_iter=80))
+        except NoConvergenceError:
+            pass
+    converged.sort(key=lambda p: (p.residual, tuple(p.canonical)))
+    kept, wound = greedy_dedup(G, f, converged, DEDUP_DISTANCE)
+    assert atlas.n_converged == len(converged)
+    assert [p.x.tolist() for p in atlas.points] == [p.x.tolist() for p in kept]
+    if f.periodic is not None:
+        assert wound > 0

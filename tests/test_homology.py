@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -133,6 +134,15 @@ def test_cycle_chain_monotone_under_inclusion():
 def test_cycle_chain_budget_flag():
     G = wheel_graph(8)
     cc, exact = cycle_chain_number(G, time_budget=1e-9)
+    assert not exact
+    assert cc >= 1
+
+
+def test_cycle_chain_budget_covers_enumeration():
+    # enumerating the simple cycles of this ladder alone takes many seconds
+    t0 = time.monotonic()
+    cc, exact = cycle_chain_number(ladder_graph(20), time_budget=0.2)
+    assert time.monotonic() - t0 < 2.0
     assert not exact
     assert cc >= 1
 
