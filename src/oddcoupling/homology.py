@@ -3,7 +3,10 @@ the dimension bounds they impose on the set of equilibria.
 
 All cycle arithmetic is exact integer arithmetic; a cycle is a signed vector
 in edge space with entries -1/0/+1 and lies in the kernel of the incidence
-matrix.
+matrix. Enumeration extends a path only by a vertex that can still close a
+kept cycle, so its time is proportional to its output. The chain search is a
+branch and bound: it drops a chain that cannot beat the best one found and
+stops at the dual bound U = min(dim H1, 1 + (m - g) // (g - 1)), g the girth.
 """
 
 from __future__ import annotations
@@ -102,15 +105,34 @@ def cycle_space_matrix(G: Graph) -> np.ndarray:
     return np.column_stack([b.as_array() for b in basis])
 
 
+def _closes(G: Graph, root: int, path: tuple[int, ...], w: int) -> bool:
+    """Whether w, appended to the path, reaches a neighbour b > walk[1] of the
+    root through vertices above the root that are off the path."""
+    lo = path[1] if len(path) > 1 else w
+    ends = {b for b in G.neighbors[root] if b > lo}
+    seen, todo = {*path, w}, [w]
+    while todo:
+        u = todo.pop()
+        if u in ends:
+            return True
+        for x in G.neighbors[u]:
+            if x > root and x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return False
+
+
 def _enumerate_up_to(G: Graph, cap: int,
                      deadline: float | None = None) -> tuple[list[CycleVector], bool]:
     """All simple cycles, one orientation each, deterministic order.
 
     Cycles are generated per root vertex r (the minimum vertex of the cycle)
-    by DFS over paths through vertices > r; each cycle appears twice, once per
-    direction, and the copy with walk[1] < walk[-1] is kept. The second value
-    is True when the list was cut short by ``cap`` or by the ``deadline``, a
-    ``time.monotonic`` value.
+    by DFS over paths through vertices > r, keeping the orientation with
+    walk[1] < walk[-1]. A vertex w is pushed only if it can still close a kept
+    cycle: it reaches a neighbour b > walk[1] of r, off the path, through
+    vertices > r off the path (``_closes``). Every DFS node then leads to a
+    cycle. The list is sorted by (length, walk); the second value is True when
+    it was cut short by ``cap`` or by the ``deadline``, a ``time.monotonic``.
     """
     cycles = []
     for root in range(G.n):
@@ -119,12 +141,16 @@ def _enumerate_up_to(G: Graph, cap: int,
             if deadline is not None and time.monotonic() > deadline:
                 return cycles, True
             v, path = stack.pop()
-            for w in G.neighbors[v]:
-                if w == root and len(path) >= 3 and path[1] < path[-1]:
-                    cycles.append(_signed_vector(G, path))
-                    if len(cycles) > cap:
-                        return cycles, True
-                elif w > root and w not in path:
+            closes_here = len(path) >= 3 and path[1] < v and G.has_edge(v, root)
+            if closes_here:
+                cycles.append(_signed_vector(G, path))
+                if len(cycles) > cap:
+                    return cycles, True
+            nxt = [w for w in G.neighbors[v] if w > root and w not in path]
+            # a node that cannot close here leads on through its only way out
+            forced = len(nxt) == 1 and len(path) > 1 and not closes_here
+            for w in nxt:
+                if forced or _closes(G, root, path, w):
                     stack.append((w, path + (w,)))
     cycles.sort(key=lambda cv: (len(cv.edges), cv.walk))
     return cycles, False
@@ -143,56 +169,42 @@ def cycle_chain_number(G: Graph, cap: int = CYCLE_CAP,
     """Maximum length of a cycle chain: consecutive cycles share exactly one
     edge, non-consecutive cycles are edge-disjoint.
 
-    Returns (cc, exact); exact is False when the cycle enumeration hit the cap
-    or the enumeration or the DFS ran out of the wall-clock budget, in which
-    case cc is a lower bound.
+    Branch and bound, shortest cycles first: a chain's cycles are independent
+    and each after the first brings g - 1 or more new edges (g the girth), so
+    cc <= U = min(dim H1, 1 + (m - g) // (g - 1)) and a chain of length L
+    leaving ``free`` edges unused is dropped when L + free // (g - 1) <= best.
+    The search stops when best reaches U. Returns (cc, exact); exact is False
+    when the enumeration hit the cap or either stage ran out of the wall-clock
+    budget, in which case cc is a lower bound.
     """
     deadline = time.monotonic() + time_budget if time_budget else None
     cycles, truncated = _enumerate_up_to(G, cap, deadline)
     if not cycles:
-        # the DFS can search long before its first cycle; any cycle is a
+        # the deadline can fall before the first cycle; any cycle is a
         # chain of length one, and one exists exactly when dim H1 >= 1
         return min(1, G.m - G.n + G.c), not truncated
-    masks = []
-    for cv in cycles:
-        mask = 0
-        for e in cv.edges:
-            mask |= 1 << e
-        masks.append(mask)
-    n_cyc = len(masks)
-    timed_out = False
-    best = 1
-
-    # pair[i] = bitset of j sharing exactly one edge with i
-    share_one = [0] * n_cyc
-    for i in range(n_cyc):
+    masks = [sum(1 << e for e in cv.edges) for cv in cycles]
+    M = np.abs(np.array([cv.vector for cv in cycles], dtype=np.float32))
+    # share_one[i]: the cycles sharing exactly one edge with cycle i, from
+    # M Mᵀ in row blocks; float32 counts of shared edges (<= m) are exact
+    share_one = []
+    for lo in range(0, len(cycles), 512):
+        if deadline is not None and time.monotonic() > deadline:
+            return 1, False
+        share_one += [np.flatnonzero(row).tolist() for row in M[lo:lo + 512] @ M.T == 1]
+    g = min(len(cv.edges) for cv in cycles)
+    bound = min(G.m - G.n + G.c, 1 + (G.m - g) // (g - 1))
+    best, stack = 1, [(i, 0, 1) for i in reversed(range(len(cycles)))]
+    while stack and best < bound:
         if deadline is not None and time.monotonic() > deadline:
             return best, False
-        for j in range(i + 1, n_cyc):
-            if (masks[i] & masks[j]).bit_count() == 1:
-                share_one[i] |= 1 << j
-                share_one[j] |= 1 << i
-
-    def extend(last: int, used_before: int, length: int):
-        nonlocal best, timed_out
-        if length > best:
-            best = length
-        if timed_out or (deadline is not None and time.monotonic() > deadline):
-            timed_out = True
-            return
-        candidates = share_one[last]
-        while candidates:
-            j = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            if masks[j] & used_before:
-                continue
-            extend(j, used_before | masks[last], length + 1)
-
-    for i in range(n_cyc):
-        extend(i, 0, 1)
-        if timed_out:
-            break
-    return best, (not truncated) and (not timed_out)
+        last, before, length = stack.pop()
+        best = max(best, length)
+        used = before | masks[last]
+        if length + (G.m - used.bit_count()) // (g - 1) > best:
+            stack += [(j, used, length + 1) for j in reversed(share_one[last])
+                      if not masks[j] & before]
+    return best, not truncated
 
 
 @dataclass(frozen=True)

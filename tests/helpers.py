@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 
 from oddcoupling import build_graph, incidence_matrix
+from oddcoupling.homology import _signed_vector
 
 
 def random_connected_graph(rng, n_max=10, extra_max=5):
@@ -123,3 +124,64 @@ def greedy_dedup(G, f, points, distance):
         else:
             kept.append(p)
     return kept, wound
+
+
+def legacy_enumerate_cycles(G, cap):
+    """The unpruned simple-cycle DFS: from every root r, all paths through
+    vertices > r, keeping the orientation with walk[1] < walk[-1]. It walks
+    branches that cannot close a kept cycle. Same contract as
+    ``homology._enumerate_up_to`` without a deadline: (cycles, truncated)."""
+    cycles = []
+    for root in range(G.n):
+        stack = [(root, (root,))]
+        while stack:
+            v, path = stack.pop()
+            for w in G.neighbors[v]:
+                if w == root and len(path) >= 3 and path[1] < path[-1]:
+                    cycles.append(_signed_vector(G, path))
+                    if len(cycles) > cap:
+                        return cycles, True
+                elif w > root and w not in path:
+                    stack.append((w, path + (w,)))
+    cycles.sort(key=lambda cv: (len(cv.edges), cv.walk))
+    return cycles, False
+
+
+def legacy_cycle_chain(G, cap):
+    """The exhaustive chain search: a pairwise share-one-edge table and a
+    recursive DFS from every cycle, with no bound and no time budget.
+    Returns (cc, exact)."""
+    cycles, truncated = legacy_enumerate_cycles(G, cap)
+    if not cycles:
+        return min(1, G.m - G.n + G.c), not truncated
+    masks = []
+    for cv in cycles:
+        mask = 0
+        for e in cv.edges:
+            mask |= 1 << e
+        masks.append(mask)
+    n_cyc = len(masks)
+    best = 1
+
+    share_one = [0] * n_cyc
+    for i in range(n_cyc):
+        for j in range(i + 1, n_cyc):
+            if (masks[i] & masks[j]).bit_count() == 1:
+                share_one[i] |= 1 << j
+                share_one[j] |= 1 << i
+
+    def extend(last, used_before, length):
+        nonlocal best
+        if length > best:
+            best = length
+        candidates = share_one[last]
+        while candidates:
+            j = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            if masks[j] & used_before:
+                continue
+            extend(j, used_before | masks[last], length + 1)
+
+    for i in range(n_cyc):
+        extend(i, 0, 1)
+    return best, not truncated

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,12 +140,35 @@ def test_cycle_chain_budget_flag():
 
 
 def test_cycle_chain_budget_covers_enumeration():
-    # enumerating the simple cycles of this ladder alone takes many seconds
+    # K10 has 556,014 simple cycles: enumerating them alone takes far
+    # longer than the budget, so the budget must stop the enumeration
     t0 = time.monotonic()
-    cc, exact = cycle_chain_number(ladder_graph(20), time_budget=0.2)
+    cc, exact = cycle_chain_number(complete_graph(10), cap=10**7, time_budget=0.2)
     assert time.monotonic() - t0 < 2.0
     assert not exact
     assert cc >= 1
+
+
+def test_cycle_chain_bound_certifies():
+    # a ladder's chain of unit cells reaches U = dim H1 = cells, which ends
+    # the search; K6 (U = 7) needs the prune to prove that 6 is the maximum
+    t0 = time.monotonic()
+    assert cycle_chain_number(ladder_graph(50)) == (50, True)
+    assert time.monotonic() - t0 < 2.0
+    assert cycle_chain_number(complete_graph(6)) == (6, True)
+    assert cycle_chain_number(wheel_graph(12)) == (11, True)
+
+
+def test_cycle_chain_memory_is_bounded():
+    # 5050 cycles: one N x N product in int64 alone would take 204 MB
+    G = ladder_graph(100)
+    tracemalloc.start()
+    try:
+        assert cycle_chain_number(G) == (100, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_dimension_bounds_book5():
