@@ -19,11 +19,9 @@ from .coupling import (
 from .graphs import (
     BlockDecomposition,
     Graph,
-    IncidenceMatrix,
     block_decomposition,
     build_graph,
-    component_indicators,
-    incidence_matrix,
+    incidence_rank,
 )
 from .homology import (
     CycleVector,

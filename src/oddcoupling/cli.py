@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +33,7 @@ from .defaults import (
     ZERO_TOL_SCALE,
 )
 from .errors import NumericalError, ValidationError
-from .graphs import Graph, graph_from_dict, graph_to_dict, parse_edge_list
+from .graphs import Graph, graph_from_dict, graph_to_dict, incidence_rank, parse_edge_list
 
 
 @dataclass
@@ -114,8 +115,15 @@ def write_csv(path: str, header: list[str], rows) -> None:
 
 def positive_float(text: str) -> float:
     v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive")
+    if not (v > 0 and math.isfinite(v)):
+        raise argparse.ArgumentTypeError(f"{text!r} must be positive and finite")
+    return v
+
+
+def positive_int(text: str) -> int:
+    v = int(text)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} must be a positive integer")
     return v
 
 
@@ -142,15 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t-rank", type=positive_float, default=None,
                    help="singular-value cutoff override for the incidence rank")
-    p.add_argument("--cap", type=int, default=10_000, help="simple-cycle cap")
+    p.add_argument("--cap", type=positive_int, default=10_000, help="simple-cycle cap")
 
     p = sub.add_parser("solve", help="multistart equilibrium atlas")
     _add_common(p)
-    p.add_argument("--starts", type=int, default=500)
+    p.add_argument("--starts", type=positive_int, default=500)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--box", type=positive_float, default=3.5,
                    help="start box half-width")
-    p.add_argument("--max-iter", type=int, default=80)
+    p.add_argument("--max-iter", type=positive_int, default=80)
 
     p = sub.add_parser("continue", help="trace or sample a manifold of equilibria")
     _add_common(p)
@@ -159,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("curve", "surface"), default="curve")
     p.add_argument("--step", type=positive_float, default=CONTINUATION_STEP)
     p.add_argument("--direction", type=int, help="curve: kernel direction (default 0)")
-    p.add_argument("--max-steps", type=int, help="curve: step budget (default 400)")
-    p.add_argument("--budget", type=int, help="surface: point budget (default 400)")
+    p.add_argument("--max-steps", type=positive_int, help="curve: step budget (default 400)")
+    p.add_argument("--budget", type=positive_int, help="surface: point budget (default 400)")
     p.add_argument("--csv", help="write per-point CSV here")
     p.add_argument("--spectrum-csv", help="write eigenvalues along the sample here")
 
@@ -170,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equilibrium residual scale (default %(default)g)")
     _add_t_zero(p)
     p.add_argument("--point", required=True)
-    p.add_argument("--local-dim", type=int, default=None,
+    p.add_argument("--local-dim", type=positive_int, default=None,
                    help="verified manifold dimension at the point, if known")
 
     p = sub.add_parser("simulate", help="integrate the flow")
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=positive_float, default=0.1)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--t-end", type=positive_float, default=50.0)
 
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--phi", required=True,
                            help="vertex map: 'h0,h1,...' or @file")
         else:
-            q.add_argument("--cap", type=int, default=10_000)
+            q.add_argument("--cap", type=positive_int, default=10_000)
         if name == "lift":
             q.add_argument("--coupling", required=True)
             q.add_argument("--point", required=True,
@@ -225,14 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bounds(args) -> int:
-    from .graphs import incidence_matrix
     G = load_graph(args.graph)
     f = load_coupling(args.coupling)
     rep = homology.dimension_bounds(G, f, cap=args.cap)
     config = RunConfig("bounds", args.graph, args.coupling,
                        extras={"cap": args.cap, "t_rank": args.t_rank})
     emit({"config": config.to_dict(), "graph": graph_to_dict(G),
-          "incidence_rank": incidence_matrix(G).rank(tol=args.t_rank),
+          "incidence_rank": incidence_rank(G, tol=args.t_rank),
           "report": rep.to_dict()}, args.out)
     return 0
 
@@ -445,7 +452,7 @@ def run(argv=None) -> int:
     except (ValidationError, OSError) as exc:  # OSError: an unwritable output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

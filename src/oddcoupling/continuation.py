@@ -17,7 +17,6 @@ from .coupling import CouplingFunction
 from .defaults import CONTINUATION_STEP, ZERO_TOL_SCALE, eq_tolerance
 from .equilibria import (
     EquilibriumPoint,
-    _operators,
     edge_space_distance,
     equilibrium_point,
     hessian,
@@ -58,8 +57,7 @@ def local_dimension(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
     gap = (float(np.min(np.abs(evals[~zero_mask]), initial=np.inf)),
            float(np.max(np.abs(evals[zero_mask]), initial=0.0)))
 
-    _, _, D = _operators(G)
-    Dn = D / np.sqrt(D.sum(axis=1, keepdims=True))
+    Dn = G.D / np.sqrt(G.D.sum(axis=1, keepdims=True))
     K = evecs[:, zero_mask]
     K = K - Dn.T @ (Dn @ K)  # project out translations
     if d > 0 and K.size:
@@ -105,8 +103,7 @@ class ManifoldSample:
 
 
 def _edge_normalized(G: Graph, t: np.ndarray) -> np.ndarray:
-    _, Bt, _ = _operators(G)
-    nrm = float(np.linalg.norm(Bt @ t))
+    nrm = float(np.linalg.norm(G.Bt @ t))
     if nrm == 0.0:
         raise ValidationError("direction has zero edge-space length")
     return t / nrm
@@ -116,19 +113,18 @@ def _correct(G: Graph, f: CouplingFunction, x_pred: np.ndarray,
              tangents: np.ndarray, max_iter: int = 30) -> np.ndarray | None:
     """Newton iteration for F(x) = 0 in the affine slice through x_pred
     orthogonal to the given tangent directions and to the translations."""
-    _, _, D = _operators(G)
     T = np.atleast_2d(tangents)
     x = x_pred.copy()
     for _ in range(max_iter):
         F = vector_field(G, f, x)
         cons_t = T @ (x - x_pred)
-        cons_d = D @ (x - x_pred)
+        cons_d = G.D @ (x - x_pred)
         scale = 1.0 + float(np.max(np.abs(x)))
         if (np.linalg.norm(F) <= eq_tolerance(x)
                 and np.max(np.abs(cons_t), initial=0.0) <= 1e-9 * scale
                 and np.max(np.abs(cons_d), initial=0.0) <= 1e-9 * scale):
             return x
-        A = np.vstack([-hessian(G, f, x), T, D])
+        A = np.vstack([-hessian(G, f, x), T, G.D])
         r = np.concatenate([F, cons_t, cons_d])
         delta, *_ = np.linalg.lstsq(A, -r, rcond=None)
         if not np.all(np.isfinite(delta)):
@@ -175,7 +171,6 @@ def trace_curve(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
     closed = False
     d_curve = info0.d
 
-    _, Bt, _ = _operators(G)
     t = _edge_normalized(G, info0.kernel_basis[:, direction_index])
     t0 = t.copy()
     x = p0.x.copy()
@@ -201,7 +196,7 @@ def trace_curve(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
         secant = x_new - x
         if (len(points) > 3
                 and edge_space_distance(G, p_new.y, p0.y, period=f.periodic) < 0.5 * step
-                and float((Bt @ secant) @ (Bt @ t0)) > 0.0):
+                and float((G.Bt @ secant) @ (G.Bt @ t0)) > 0.0):
             closed = True
             break
 
@@ -241,8 +236,7 @@ def sample_manifold(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
         x = p.x
         if f.periodic is not None:
             x = wrap_to_fundamental(G, x, f.periodic)
-        _, Bt, _ = _operators(G)
-        return tuple(np.round((Bt @ x) / step).astype(int))
+        return tuple(np.round((G.Bt @ x) / step).astype(int))
 
     points = [p0]
     dims = [d0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import DEDUP_DISTANCE, SEARCH_VERTEX_CAP, eq_tolerance
+from .defaults import AUTOMORPHISM_CAP, SEARCH_VERTEX_CAP, eq_tolerance
 from .equilibria import (
     EquilibriumPoint,
     equilibrium_point,
@@ -196,7 +196,7 @@ class AutomorphismSet:
         return len(self.permutations)
 
 
-def automorphisms(G: Graph, cap: int = 100_000) -> AutomorphismSet:
+def automorphisms(G: Graph) -> AutomorphismSet:
     """All graph automorphisms by backtracking with degree pruning."""
     if G.n > SEARCH_VERTEX_CAP:
         raise ValidationError(f"search capped at {SEARCH_VERTEX_CAP} vertices")
@@ -223,7 +223,7 @@ def automorphisms(G: Graph, cap: int = 100_000) -> AutomorphismSet:
             return
         if v == G.n:
             perms.append(tuple(sigma))
-            if len(perms) >= cap:
+            if len(perms) >= AUTOMORPHISM_CAP:
                 hit_cap = True
             return
         for u in range(G.n):
@@ -265,8 +265,7 @@ class OrbitResult:
 
 
 def orbit_of_equilibrium(auts: AutomorphismSet, G: Graph, f: CouplingFunction,
-                         p: EquilibriumPoint,
-                         distance: float = DEDUP_DISTANCE) -> OrbitResult:
+                         p: EquilibriumPoint) -> OrbitResult:
     """Apply every automorphism to p, dedup, and verify each image.
 
     Equivariance makes every image an equilibrium with the same residual; the
@@ -282,7 +281,7 @@ def orbit_of_equilibrium(auts: AutomorphismSet, G: Graph, f: CouplingFunction,
             raise NumericalError("automorphism image failed the residual check; "
                                  "is the permutation really an automorphism?")
         for i, r in enumerate(reps):
-            if points_equivalent(G, f, q, r, distance):
+            if points_equivalent(G, f, q, r):
                 stab[i] += 1
                 break
         else:

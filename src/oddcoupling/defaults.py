@@ -33,6 +33,7 @@ MONO_TOL_SCALE = 1e-7
 
 # enumeration / search budgets
 CYCLE_CAP = 10_000
+AUTOMORPHISM_CAP = 100_000
 SEARCH_VERTEX_CAP = 16
 ZERO_PATTERN_VERTEX_CAP = 20
 
@@ -50,6 +51,6 @@ def rank_tolerance(n: int, m: int, sigma_max: float) -> float:
     return max(n, m) * np.finfo(float).eps * sigma_max
 
 
-def mono_tolerance(e0: float, scale: float = MONO_TOL_SCALE) -> float:
+def mono_tolerance(e0: float) -> float:
     """Allowed energy increase between consecutive trajectory samples."""
-    return scale * (1.0 + abs(e0))
+    return MONO_TOL_SCALE * (1.0 + abs(e0))

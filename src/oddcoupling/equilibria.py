@@ -24,25 +24,13 @@ from .defaults import (
     rank_tolerance,
 )
 from .errors import NoConvergenceError, NotARootError, ValidationError
-from .graphs import Graph, component_indicators, incidence_matrix
-
-
-@lru_cache(maxsize=256)
-def _operators(G: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, B^T, component indicator matrix) as float arrays."""
-    B = incidence_matrix(G).B.astype(float)
-    B.setflags(write=False)
-    Bt = np.ascontiguousarray(B.T)
-    Bt.setflags(write=False)
-    D = component_indicators(G)
-    return B, Bt, D
+from .graphs import Graph
 
 
 def vector_field(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     """Right-hand side -B f(B^T x); equals minus the energy gradient."""
-    B, Bt, _ = _operators(G)
     x = np.asarray(x, dtype=float)
-    return -(B @ np.asarray(f(Bt @ x)))
+    return -(G.B @ np.asarray(f(G.Bt @ x)))
 
 
 def energy(G: Graph, f: CouplingFunction, x):
@@ -52,25 +40,22 @@ def energy(G: Graph, f: CouplingFunction, x):
     differences, never absolute values. A stack ``x`` of shape (k, n) gives
     an array of k energies.
     """
-    B, _, _ = _operators(G)
-    e = f.primitive(np.asarray(x, dtype=float) @ B).sum(axis=-1)
+    e = f.primitive(np.asarray(x, dtype=float) @ G.B).sum(axis=-1)
     return float(e) if e.ndim == 0 else e
 
 
 def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     """Energy Hessian B diag(f'(B^T x)) B^T, a weighted graph Laplacian;
     minus the Jacobian of the vector field."""
-    B, Bt, _ = _operators(G)
     x = np.asarray(x, dtype=float)
-    return (B * np.asarray(f.deriv(Bt @ x))) @ Bt
+    return (G.B * np.asarray(f.deriv(G.Bt @ x))) @ G.Bt
 
 
 def canonical_form(G: Graph, x) -> np.ndarray:
     """Project out the per-component mean (the translational symmetry)."""
-    _, _, D = _operators(G)
     x = np.asarray(x, dtype=float)
-    means = (D @ x) / D.sum(axis=1)
-    return x - D.T @ means
+    means = (G.D @ x) / G.D.sum(axis=1)
+    return x - G.D.T @ means
 
 
 @dataclass(frozen=True)
@@ -88,8 +73,7 @@ class EquilibriumPoint:
 
 def equilibrium_point(G: Graph, f: CouplingFunction, x) -> EquilibriumPoint:
     x = np.array(x, dtype=float)
-    _, Bt, _ = _operators(G)
-    y = Bt @ x
+    y = G.Bt @ x
     res = float(np.linalg.norm(vector_field(G, f, x)))
     canon = canonical_form(G, x)
     for arr in (x, y, canon):
@@ -129,18 +113,17 @@ def edge_space_distance(G: Graph, y1, y2, period: float | None = None):
 
 
 def points_equivalent(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
-                      q: EquilibriumPoint, distance: float = DEDUP_DISTANCE) -> bool:
+                      q: EquilibriumPoint) -> bool:
     """Equivalence used for dedup: translations always, winding for periodic f."""
-    return edge_space_distance(G, p.y, q.y, period=f.periodic) <= distance
+    return edge_space_distance(G, p.y, q.y, period=f.periodic) <= DEDUP_DISTANCE
 
 
 def wrap_to_fundamental(G: Graph, x, period: float) -> np.ndarray:
     """Shift every coordinate by integer periods so the state lies in a
     bounded fundamental domain (anchored at each component's first vertex)."""
-    _, _, D = _operators(G)
     x = np.array(x, dtype=float)
     for comp in range(G.c):
-        idx = np.nonzero(D[comp])[0]
+        idx = np.nonzero(G.D[comp])[0]
         anchor = x[idx[0]]
         x[idx] -= period * np.round((x[idx] - anchor) / period)
     return x
@@ -150,8 +133,7 @@ def wrap_to_fundamental(G: Graph, x, period: float) -> np.ndarray:
 # Newton solver and multistart atlas
 # ---------------------------------------------------------------------------
 
-def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60,
-                 tol_scale: float = EQ_TOL_SCALE) -> EquilibriumPoint:
+def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60) -> EquilibriumPoint:
     """Damped Newton iteration on F(x) = -B f(B^T x).
 
     The Jacobian is symmetric and singular (translations, and tangentially
@@ -168,7 +150,7 @@ def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60,
     Fx = vector_field(G, f, x)
     res = float(np.linalg.norm(Fx))
     for _ in range(max_iter):
-        if res <= eq_tolerance(x, tol_scale):
+        if res <= eq_tolerance(x):
             return equilibrium_point(G, f, x)
         U, s, Vt = np.linalg.svd(-hessian(G, f, x))
         cutoff = rank_tolerance(G.n, G.n, float(s[0]) if s.size else 0.0)
@@ -186,7 +168,7 @@ def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60,
             t *= 0.5
         else:
             raise NoConvergenceError(f"line search stalled at residual {res:.3e}")
-    if res <= eq_tolerance(x, tol_scale):
+    if res <= eq_tolerance(x):
         return equilibrium_point(G, f, x)
     raise NoConvergenceError(f"no convergence after {max_iter} iterations "
                              f"(residual {res:.3e})")
@@ -201,7 +183,6 @@ class EquilibriumAtlas:
     n_converged: int
     seed: int
     box_radius: float
-    dedup_distance: float
     periodic_identification: bool
 
     def to_dict(self) -> dict:
@@ -210,7 +191,7 @@ class EquilibriumAtlas:
             "n_converged": self.n_converged,
             "seed": self.seed,
             "box_radius": self.box_radius,
-            "dedup_distance": self.dedup_distance,
+            "dedup_distance": DEDUP_DISTANCE,
             "periodic_identification": self.periodic_identification,
             "points": [
                 {
@@ -225,12 +206,11 @@ class EquilibriumAtlas:
 
 
 def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
-                     box_radius: float, max_iter: int = 80,
-                     dedup_distance: float = DEDUP_DISTANCE) -> EquilibriumAtlas:
+                     box_radius: float, max_iter: int = 80) -> EquilibriumAtlas:
     """Newton solves from seeded uniform starts in [-box, box]^n, deduplicated.
 
     Points on the same continuum are intentionally kept as distinct samples;
-    only points within ``dedup_distance`` in (identified) edge space merge.
+    only points within ``DEDUP_DISTANCE`` in (identified) edge space merge.
     Output order is (residual, canonical coordinates).
     """
     if n_starts < 1:
@@ -250,7 +230,7 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
     kept_y = np.empty((len(converged), G.m))
     for p in converged:
         near = edge_space_distance(G, kept_y[:len(kept)], p.y, period=f.periodic)
-        if not np.any(near <= dedup_distance):
+        if not np.any(near <= DEDUP_DISTANCE):
             kept_y[len(kept)] = p.y
             kept.append(p)
     return EquilibriumAtlas(
@@ -259,7 +239,6 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
         n_converged=len(converged),
         seed=seed,
         box_radius=box_radius,
-        dedup_distance=dedup_distance,
         periodic_identification=f.periodic is not None,
     )
 
@@ -330,10 +309,7 @@ def _cycle_projector(G: Graph) -> np.ndarray | None:
     return Q
 
 
-def membership_tests(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
-                     tolerance: float | None = None) -> MembershipReport:
-    if tolerance is None:
-        tolerance = 10.0 * eq_tolerance(p.x)
+def membership_tests(G: Graph, f: CouplingFunction, p: EquilibriumPoint) -> MembershipReport:
     y = p.y
     fy = np.asarray(f(y))
     skew = abs(float(y @ fy))
@@ -348,7 +324,7 @@ def membership_tests(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
         skew_norm=skew,
         dist_f_from_cycle_space=dist_f,
         dist_y_from_cocycle_space=dist_y,
-        tolerance=float(tolerance),
+        tolerance=10.0 * eq_tolerance(p.x),
     )
 
 

@@ -1,4 +1,4 @@
-"""Immutable simple graphs with oriented edges, incidence matrices, and blocks.
+"""Immutable simple graphs with oriented edges, their operators, and blocks.
 
 The edge order and the orientation of every edge are fixed when the graph is
 built and never change afterwards: they define the coordinates of edge space,
@@ -31,9 +31,19 @@ class Graph:
         Number of connected components.
     neighbors : tuple[tuple[int, ...], ...]
         Adjacency lists, sorted.
+    B : np.ndarray
+        Incidence matrix, shape (n, m): B[i, e] = +1 if i is the head of e,
+        -1 if the tail.
+    Bt : np.ndarray
+        C-contiguous copy of B^T, shape (m, n).
+    D : np.ndarray
+        0/1 component indicators, shape (c, n). Their rows span the kernel of
+        B^T and generate the translational symmetries. B, Bt and D are
+        read-only float arrays.
     """
 
-    __slots__ = ("n", "edges", "component_of", "c", "neighbors", "_edge_lookup")
+    __slots__ = ("n", "edges", "component_of", "c", "neighbors", "_edge_lookup",
+                 "B", "Bt", "D", "_hash")
 
     def __init__(self, edges, n: int | None = None):
         edges = [tuple(e) for e in edges]
@@ -86,10 +96,20 @@ class Graph:
         self.c = c
 
         lookup = {}
+        B = np.zeros((self.n, self.m))
         for idx, (j, k) in enumerate(self.edges):
             lookup[(j, k)] = (idx, 1)
             lookup[(k, j)] = (idx, -1)
+            B[j, idx], B[k, idx] = -1.0, 1.0
         self._edge_lookup = lookup
+
+        D = np.zeros((c, self.n))
+        D[comp, range(self.n)] = 1.0
+        # the bits of every matmul depend on these layouts: B and Bt C-contiguous
+        self.B, self.Bt, self.D = B, np.ascontiguousarray(B.T), D
+        for op in (self.B, self.Bt, self.D):
+            op.setflags(write=False)
+        self._hash = hash((self.n, self.edges))
 
     @property
     def m(self) -> int:
@@ -113,7 +133,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, c={self.c})"
@@ -128,51 +148,14 @@ def build_graph(edge_list, n: int | None = None) -> Graph:
     return Graph(edge_list, n=n)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Vertex-by-edge incidence matrix with one -1 (tail) and +1 (head) per column."""
-
-    B: np.ndarray  # shape (n, m), integer entries in {-1, 0, +1}
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-    def rank(self, tol: float | None = None) -> int:
-        """Numerical rank via singular values; defaults to the pivoted-scale cutoff."""
-        if self.B.size == 0:
-            return 0
-        s = np.linalg.svd(self.B.astype(float), compute_uv=False)
-        if tol is None:
-            tol = rank_tolerance(self.n, self.m, float(s[0]) if s.size else 0.0)
-        return int(np.sum(s > tol))
-
-
-def incidence_matrix(G: Graph) -> IncidenceMatrix:
-    """Incidence matrix B with B[i, e] = +1 if i is the head of e, -1 if the tail."""
-    B = np.zeros((G.n, G.m), dtype=np.int64)
-    for e, (j, k) in enumerate(G.edges):
-        B[j, e] = -1
-        B[k, e] = 1
-    B.setflags(write=False)
-    return IncidenceMatrix(B)
-
-
-def component_indicators(G: Graph) -> np.ndarray:
-    """0/1 indicator vectors of the connected components, shape (c, n).
-
-    These span the kernel of B^T and generate the translational symmetries of
-    the dynamics.
-    """
-    D = np.zeros((G.c, G.n))
-    for v, comp in enumerate(G.component_of):
-        D[comp, v] = 1.0
-    D.setflags(write=False)
-    return D
+def incidence_rank(G: Graph, tol: float | None = None) -> int:
+    """Numerical rank of B via singular values; defaults to the pivoted-scale cutoff."""
+    if G.B.size == 0:
+        return 0
+    s = np.linalg.svd(G.B, compute_uv=False)
+    if tol is None:
+        tol = rank_tolerance(G.n, G.m, float(s[0]))
+    return int(np.sum(s > tol))
 
 
 @dataclass(frozen=True)

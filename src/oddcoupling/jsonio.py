@@ -21,17 +21,17 @@ def _format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     """Serialize dicts/lists/scalars with fixed float formatting."""
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _write(obj: Any, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    closing = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -49,7 +49,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
             out.append(pad + encode_basestring(str(key)) + ": ")
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -60,7 +60,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, val in enumerate(seq):
             out.append(pad)
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(closing + "]")
     else:

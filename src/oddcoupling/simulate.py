@@ -23,7 +23,6 @@ from .defaults import (
 )
 from .equilibria import (
     EquilibriumPoint,
-    _operators,
     canonical_form,
     edge_space_distance,
     energy,
@@ -58,16 +57,23 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
 
     Stops early once the residual drops below the equilibrium tolerance; the
     endpoint is then polished by Newton and reported as ``converged_to``.
+    A vector field that turns non-finite raises ``NumericalError``.
     """
     if not t_end > 0:
         raise ValidationError("t_end must be positive")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (G.n,):
         raise ValidationError(f"x0 must have length {G.n}")
-    _, _, D = _operators(G)
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("x0 must be finite")
 
-    def rhs(_t, x):
-        return vector_field(G, f, x)
+    def rhs(t, x):
+        dx = vector_field(G, f, x)
+        # a non-finite field makes a NaN step size, which never passes the
+        # error test nor falls below the minimum step: RK45 would retry forever
+        if not np.isfinite(dx).all():
+            raise NumericalError(f"the vector field is not finite at t = {t:.6g}")
+        return dx
 
     def settled(_t, x):
         return float(np.linalg.norm(vector_field(G, f, x))) - eq_tolerance(x)
@@ -82,7 +88,7 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
 
     times = sol.t
     states = sol.y.T
-    comp_sums = states @ D.T                     # (T, c)
+    comp_sums = states @ G.D.T                   # (T, c)
     drift = float(np.max(np.abs(comp_sums - comp_sums[0]), initial=0.0))
     energies = energy(G, f, states)
 
@@ -163,18 +169,17 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
     """
     if p.residual > eq_tolerance(p.x):
         raise ValidationError(f"residual {p.residual:.3e}: not an accepted equilibrium")
-    B, Bt, _ = _operators(G)
     rng = np.random.default_rng(seed)
     anchors_y = np.array([a.y for a in (component or ()) + (p,)])
 
     def one_trial(delta):
         delta = canonical_form(G, delta)
-        nrm = float(np.linalg.norm(Bt @ delta))
+        nrm = float(np.linalg.norm(G.Bt @ delta))
         if nrm == 0.0:
             return 0.0, 0.0
         x0 = p.x + (radius / nrm) * delta
         traj = integrate(G, f, x0, t_end=t_end, mono_check=False)
-        ys = traj.states @ B
+        ys = traj.states @ G.B
         dists = edge_space_distance(G, ys, p.y, period=f.periodic)
         final_dist = edge_space_distance(G, anchors_y, ys[-1], period=f.periodic)
         return float(dists.max()), float(final_dist.min())

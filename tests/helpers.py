@@ -5,7 +5,7 @@ from itertools import permutations
 
 import numpy as np
 
-from oddcoupling import build_graph, incidence_matrix
+from oddcoupling import build_graph
 from oddcoupling.homology import _signed_vector
 
 
@@ -98,7 +98,7 @@ def is_winding_shift(G, z):
     """Whether the integer edge vector z is B^T k for some vertex vector k,
     decided by least squares (an integer z in the range of B^T is reached by
     an integer k, B^T being totally unimodular)."""
-    A = incidence_matrix(G).B.T.astype(float)
+    A = G.B.T
     k = np.linalg.lstsq(A, z, rcond=None)[0]
     return float(np.linalg.norm(A @ k - z)) < 1e-9
 

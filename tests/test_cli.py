@@ -341,3 +341,48 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ocl {oddcoupling.__version__}" == "ocl 0.1.0"
+
+
+C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", *C3, "--x0=nan,0,0"], 2, "x0 must be finite"),
+    (["simulate", *C3, "--x0=1e200,0,0", "--t-end", "1"], 3, "not finite"),
+    (["solve", *C3, "--box", "inf"], 2, "must be positive and finite"),
+    (["continue", *C3, "--point=0,1,0", "--step", "1e300"], 3, "did not converge"),
+    (["solve", "--graph", "c3.json", "--coupling", "huge.json"], 3, "did not converge"),
+    (["solve", *C3, "--starts", "0"], 2, "--starts"),
+    (["solve", *C3, "--max-iter", "-1"], 2, "--max-iter"),
+    (["basin", *C3, "--point", "0,0,0", "--trials", "-1"], 2, "--trials"),
+    (["continue", *C3, "--point=0,1,0", "--max-steps", "-5"], 2, "--max-steps"),
+    (["continue", *C3, "--point=0,1,0", "--mode", "surface", "--budget", "0"], 2,
+     "--budget"),
+    (["stability", *C3, "--point", "0,0,0", "--local-dim", "-1"], 2, "--local-dim"),
+    (["bounds", *C3, "--cap", "0"], 2, "--cap"),
+    (["cover", "find", "--graph", "c3.json", "--target", "c3.json", "--cap", "-1"], 2,
+     "--cap"),
+])
+def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
+    monkeypatch.chdir(workdir)
+    (workdir / "c3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    (workdir / "huge.json").write_text(json.dumps(
+        {"family": "odd_poly", "coeffs": [1e308, 1e308]}))
+    if argv[0] == "simulate":
+        # in a subprocess, so that an integrator that hangs fails the test
+        # instead of stalling the suite
+        src = Path(oddcoupling.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "oddcoupling.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=20)
+        got, err = proc.returncode, proc.stderr
+    else:
+        try:
+            got = run(argv)
+        except SystemExit as exc:
+            got = exc.code
+        err = capsys.readouterr().err
+    assert got == code
+    assert message in err
+    assert "Traceback" not in err

@@ -6,7 +6,6 @@ import pytest
 from oddcoupling import (
     build_graph,
     canonical_form,
-    component_indicators,
     edge_space_distance,
     energy,
     equilibrium_point,
@@ -54,7 +53,7 @@ def test_component_sums_conserved():
         f = [SIN, CUBIC, make_sine_combination({1: 0.5, 3: 0.2})][int(rng.integers(3))]
         x = rng.uniform(-3, 3, G.n)
         F = vector_field(G, f, x)
-        D = component_indicators(G)
+        D = G.D
         assert np.max(np.abs(D @ F)) < 1e-12 * max(1.0, np.max(np.abs(F)))
 
 
@@ -100,7 +99,7 @@ def test_translation_equivariance():
         G = random_graph(rng)
         x = rng.uniform(-2, 2, G.n)
         F = vector_field(G, SIN, x)
-        for d in component_indicators(G):
+        for d in G.D:
             assert np.allclose(vector_field(G, SIN, x + 1.7 * d), F, atol=1e-12)
 
 
@@ -250,7 +249,7 @@ def test_canonical_form_zero_mean():
         G = random_graph(rng)
         x = rng.uniform(-3, 3, G.n)
         canon = canonical_form(G, x)
-        D = component_indicators(G)
+        D = G.D
         assert np.max(np.abs(D @ canon)) < 1e-12
 
 

@@ -4,8 +4,7 @@ import pytest
 from oddcoupling import (
     block_decomposition,
     build_graph,
-    component_indicators,
-    incidence_matrix,
+    incidence_rank,
 )
 from oddcoupling.errors import DuplicateEdgeError, SelfLoopError, ValidationError
 from oddcoupling.graphs import graph_from_dict, graph_to_dict, induced_subgraph, parse_edge_list
@@ -53,43 +52,53 @@ def test_isolated_vertices_via_n_override():
 
 def test_single_edge_incidence_column():
     G = build_graph([(0, 1)])
-    B = incidence_matrix(G).B
-    assert B[:, 0].tolist() == [-1, 1]
+    assert G.B[:, 0].tolist() == [-1, 1]
 
 
 def test_incidence_rank_triangle_and_k4():
     tri = build_graph([(0, 1), (1, 2), (2, 0)])
-    assert incidence_matrix(tri).rank() == 2
+    assert incidence_rank(tri) == 2
     k4 = build_graph([(i, j) for i in range(4) for j in range(i + 1, 4)])
-    inc = incidence_matrix(k4)
-    assert inc.B.shape == (4, 6)
-    assert inc.rank() == 3
-    assert elimination_rank(inc.B) == 3
+    assert k4.B.shape == (4, 6)
+    assert incidence_rank(k4) == 3
+    assert elimination_rank(k4.B) == 3
 
 
 def test_incidence_columns_sum_to_zero():
     rng = np.random.default_rng(7)
     for _ in range(20):
         G = random_graph(rng)
-        B = incidence_matrix(G).B
-        assert np.all(B.sum(axis=0) == 0)
+        assert np.all(G.B.sum(axis=0) == 0)
 
 
 def test_rank_equals_n_minus_c_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
         G = random_graph(rng)
-        inc = incidence_matrix(G)
-        assert inc.rank() == G.n - G.c
-        assert elimination_rank(inc.B) == G.n - G.c
+        assert incidence_rank(G) == G.n - G.c
+        assert elimination_rank(G.B) == G.n - G.c
+
+
+def test_operators_are_read_only_and_keep_their_layout():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        G = random_graph(rng)
+        assert G.B.dtype == G.Bt.dtype == G.D.dtype == np.float64
+        assert G.B.shape == (G.n, G.m) and G.D.shape == (G.c, G.n)
+        assert G.B.flags.c_contiguous and G.Bt.flags.c_contiguous
+        assert np.array_equal(G.Bt, G.B.T)
+        for op in (G.B, G.Bt, G.D):
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[...] = 0.0
 
 
 def test_component_indicators():
     tri = build_graph([(0, 1), (1, 2), (2, 0)])
-    D = component_indicators(tri)
+    D = tri.D
     assert D.tolist() == [[1.0, 1.0, 1.0]]
     two = build_graph([(0, 1), (2, 3)])
-    D = component_indicators(two)
+    D = two.D
     assert D.tolist() == [[1, 1, 0, 0], [0, 0, 1, 1]]
 
 
@@ -97,8 +106,8 @@ def test_indicators_span_left_kernel():
     rng = np.random.default_rng(3)
     for _ in range(20):
         G = random_graph(rng)
-        B = incidence_matrix(G).B.astype(float)
-        D = component_indicators(G)
+        B = G.B
+        D = G.D
         assert np.allclose(B.T @ D.T, 0.0)
         # orthogonal family
         gram = D @ D.T
