@@ -127,6 +127,13 @@ def positive_int(text: str) -> int:
     return v
 
 
+def non_negative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} must be a non-negative integer")
+    return v
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--graph", required=True, help="graph JSON or edge-list file")
     p.add_argument("--coupling", required=True, help="coupling JSON file")
@@ -155,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="multistart equilibrium atlas")
     _add_common(p)
     p.add_argument("--starts", type=positive_int, default=500)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     p.add_argument("--box", type=positive_float, default=3.5,
                    help="start box half-width")
     p.add_argument("--max-iter", type=positive_int, default=80)
@@ -194,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.add_argument("--radius", type=positive_float, default=0.1)
     p.add_argument("--trials", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     p.add_argument("--t-end", type=positive_float, default=50.0)
 
     p = sub.add_parser("cover", help="covering maps between two graphs")

@@ -97,8 +97,10 @@ class OddPolynomial(CouplingFunction):
         self._flags: CouplingFlags | None = None
 
     def _horner(self, coeffs, u):
-        acc = np.zeros_like(u)
-        for c in reversed(coeffs):
+        if len(coeffs) < 2:
+            return np.full_like(u, coeffs[0] if coeffs else 0.0)
+        acc = coeffs[-1] * u + coeffs[-2]
+        for c in reversed(coeffs[:-2]):
             acc = acc * u + c
         return acc
 

@@ -27,6 +27,8 @@ CONTINUATION_STEP = 0.05
 ODE_RTOL = 1e-8
 ODE_ATOL = 1e-10
 ODE_T_END = 200.0
+# step attempts, accepted or rejected, before a run gives up (exit 3)
+ODE_MAX_STEPS = 100_000
 
 # energy-monotonicity slack: 1e-7 * (1 + |E(x0)|)
 MONO_TOL_SCALE = 1e-7
@@ -43,7 +45,7 @@ DEFAULT_SEED = 1729
 
 def eq_tolerance(x, scale: float = EQ_TOL_SCALE) -> float:
     """Residual acceptance threshold at state ``x``."""
-    return scale * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    return scale * (1.0 + float(np.abs(x).max(initial=0.0)))
 
 
 def rank_tolerance(n: int, m: int, sigma_max: float) -> float:

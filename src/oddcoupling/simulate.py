@@ -1,5 +1,10 @@
 """Trajectory integration with invariant monitoring, and empirical basin probes.
 
+The integrator is a Dormand-Prince 5(4) stepper that repeats the arithmetic
+of the RK45 method of ``solve_ivp`` operation for operation, so that its
+samples equal those of ``solve_ivp`` bit for bit, with a settle event located
+by Brent's method.
+
 The flow conserves the per-component coordinate sums and dissipates the
 energy; both are monitored on every run and a monotonicity violation beyond
 the integrator slack aborts with a diagnostic (it indicates a misconfigured
@@ -8,14 +13,15 @@ integrator, not dynamics).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coupling import CouplingFunction
 from .defaults import (
     ODE_ATOL,
+    ODE_MAX_STEPS,
     ODE_RTOL,
     ODE_T_END,
     eq_tolerance,
@@ -57,37 +63,25 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
 
     Stops early once the residual drops below the equilibrium tolerance; the
     endpoint is then polished by Newton and reported as ``converged_to``.
-    A vector field that turns non-finite raises ``NumericalError``.
+    A vector field that turns non-finite, or a run that exhausts
+    ``ODE_MAX_STEPS`` step attempts, raises ``NumericalError``.
     """
     if not t_end > 0:
         raise ValidationError("t_end must be positive")
+    if not atol >= 0:
+        raise ValidationError("atol must be non-negative")
+    if G.n == 0:
+        raise ValidationError("the graph has no vertices")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (G.n,):
         raise ValidationError(f"x0 must have length {G.n}")
     if not np.all(np.isfinite(x0)):
         raise ValidationError("x0 must be finite")
 
-    def rhs(t, x):
-        dx = vector_field(G, f, x)
-        # a non-finite field makes a NaN step size, which never passes the
-        # error test nor falls below the minimum step: RK45 would retry forever
-        if not np.isfinite(dx).all():
-            raise NumericalError(f"the vector field is not finite at t = {t:.6g}")
-        return dx
+    times, states, status = _dopri5(G, f, x0, float(t_end), rtol, atol)
+    if status == -1:
+        raise StepUnderflowError(_STOP_MESSAGES[status])
 
-    def settled(_t, x):
-        return float(np.linalg.norm(vector_field(G, f, x))) - eq_tolerance(x)
-
-    settled.terminal = True
-    settled.direction = -1
-
-    sol = solve_ivp(rhs, (0.0, float(t_end)), x0, method="RK45",
-                    rtol=rtol, atol=atol, events=settled)
-    if sol.status == -1:
-        raise StepUnderflowError(sol.message)
-
-    times = sol.t
-    states = sol.y.T
     comp_sums = states @ G.D.T                   # (T, c)
     drift = float(np.max(np.abs(comp_sums - comp_sums[0]), initial=0.0))
     energies = energy(G, f, states)
@@ -109,7 +103,7 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     converged_to = None
     final = states[-1]
     final_res = float(np.linalg.norm(vector_field(G, f, final)))
-    if sol.status == 1 or final_res <= 1000.0 * eq_tolerance(final):
+    if status == 1 or final_res <= 1000.0 * eq_tolerance(final):
         try:
             polished = newton_solve(G, f, final)
         except NoConvergenceError:
@@ -117,7 +111,7 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
         scale = 1.0 + float(np.max(np.abs(final), initial=0.0))
         if polished is not None and float(np.max(np.abs(polished.x - final))) <= 1e-5 * scale:
             converged, converged_to = True, polished
-        elif sol.status == 1:
+        elif status == 1:
             converged, converged_to = True, equilibrium_point(G, f, final)
     return Trajectory(
         times=times,
@@ -126,8 +120,222 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
         conserved_drift=drift,
         converged=converged,
         converged_to=converged_to,
-        message=sol.message or "",
+        message=_STOP_MESSAGES[status],
     )
+
+
+# Dormand-Prince 5(4) with the constants and order of operations of RK45
+# (Hairer, Norsett and Wanner, Solving ODEs I, II.4-5): every step, sample
+# and event time equals that of solve_ivp(method="RK45") bit for bit.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+# quartic dense output, with the optimum c_6 of Shampine (1986)
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 5
+_EPS = float(np.finfo(float).eps)
+# status -1, 0 and 1 as in solve_ivp, with its messages
+_STOP_MESSAGES = {
+    -1: "Required step size is less than spacing between numbers.",
+    0: "The solver successfully reached the end of the integration interval.",
+    1: "A termination event occurred.",
+}
+
+
+def _rms(v) -> float:
+    # np.linalg.norm's own arithmetic, without its dispatch
+    return math.sqrt(v.dot(v)) / v.size ** 0.5
+
+
+def _not_finite(t):
+    return NumericalError(f"the vector field is not finite at t = {t:.6g}")
+
+
+def _settle_gap(x, fx) -> float:
+    """The settle event: ||F(x)|| minus the equilibrium tolerance, falling
+    through zero as the flow settles."""
+    return math.sqrt(fx.dot(fx)) - eq_tolerance(x)
+
+
+def _initial_step(G, f, x0, f0, t_end, rtol, atol):
+    """Hairer, Norsett and Wanner's starting step, as RK45's
+    ``select_initial_step`` computes it for an error estimator of order 4."""
+    scale = atol + np.abs(x0) * rtol
+    d0 = _rms(x0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f1 = vector_field(G, f, x0 + h0 * f0)
+    if not np.isfinite(f1).all():
+        raise _not_finite(h0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, t_end)
+
+
+def _dopri5(G, f, x0, t_end, rtol, atol):
+    """Integrate the flow from x0 over [0, t_end] until the settle event.
+
+    Returns (times, states, status): status 0 when t_end is reached, 1 at
+    the settle event (the last sample is its root), -1 when the step falls
+    below ten ulps of t. The settle test reuses each step's last stage,
+    which is F at the new state.
+    """
+    # solve_ivp lifts an rtol below 100 eps to that floor, and so does this
+    rtol = max(rtol, 100 * _EPS)
+    fy = vector_field(G, f, x0)
+    if not np.isfinite(fy).all():
+        raise _not_finite(0.0)
+    h_abs = _initial_step(G, f, x0, fy, t_end, rtol, atol)
+    t, y = 0.0, x0
+    gap = _settle_gap(y, fy)
+    ts, ys = [t], [y]
+    K = np.empty((7, x0.size))
+    # views of K for the stage sums np.dot(K[:s].T, a[:s]), made once
+    stages = [(K[:s].T, _A[s, :s]) for s in range(1, 6)]
+    attempts = 0
+    while True:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return np.array(ts), np.vstack(ys), -1
+            attempts += 1
+            if attempts > ODE_MAX_STEPS:
+                raise NumericalError(
+                    f"the integrator made {ODE_MAX_STEPS} step attempts and "
+                    f"reached t = {t:.6g} of {t_end:.6g}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = fy
+            for s, (k, a) in enumerate(stages, start=1):
+                K[s] = vector_field(G, f, y + np.dot(k, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = vector_field(G, f, y_new)
+            K[-1] = f_new
+            if not np.isfinite(K).all():
+                s = int(np.argmin(np.isfinite(K).all(axis=1)))
+                raise _not_finite(t + _C[s] * h if s < 6 else t + h)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        t_old, y_old = t, y
+        t, y, fy = t_new, y_new, f_new
+        gap_new = _settle_gap(y, fy)
+        if gap >= 0 and gap_new <= 0:
+            Q = K.T.dot(_P)
+            h = t - t_old
+
+            def dense(tau):
+                p = np.cumprod(np.tile((tau - t_old) / h, 4))
+                return h * np.dot(Q, p) + y_old
+
+            def event(tau):
+                x = dense(tau)
+                return _settle_gap(x, vector_field(G, f, x))
+
+            root = _brentq(event, t_old, t, 4 * _EPS, 4 * _EPS)
+            ts.append(root)
+            ys.append(dense(root))
+            return np.array(ts), np.vstack(ys), 1
+        gap = gap_new
+        ts.append(t)
+        ys.append(y)
+        if t >= t_end:
+            return np.array(ts), np.vstack(ys), 0
+
+
+def _brentq(fn, xa, xb, xtol, rtol, maxiter=100):
+    """A root of ``fn`` in [xa, xb] by Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), operation for operation
+    as the ``brentq.c`` that ``solve_ivp`` locates its events with."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fn(xpre), fn(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise NumericalError(f"no sign change of the event in [{xa!r}, {xb!r}]")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C makes an infinite or NaN step here, which then fails the
+                # test below and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry      # a good short step
+            else:
+                spre = scur = sbis           # bisect
+        else:
+            spre = scur = sbis               # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fn(xcur)
+    raise NumericalError(f"the event root did not converge in {maxiter} iterations")
+
+
+def _signbit(v: float) -> bool:
+    return math.copysign(1.0, v) < 0
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from oddcoupling import build_graph
+from oddcoupling import build_graph, vector_field
+from oddcoupling.defaults import ODE_ATOL, ODE_RTOL, eq_tolerance
 from oddcoupling.homology import _signed_vector
 
 
@@ -185,3 +187,17 @@ def legacy_cycle_chain(G, cap):
     for i in range(n_cyc):
         extend(i, 0, 1)
     return best, not truncated
+
+
+def solve_ivp_oracle(G, f, x0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL):
+    """The flow integrated as the program did before it owned its stepper:
+    scipy's RK45 with a terminal settle event, ||F(x)|| falling through the
+    equilibrium tolerance. Returns the ``solve_ivp`` result."""
+    def settled(_t, x):
+        return float(np.linalg.norm(vector_field(G, f, x))) - eq_tolerance(x)
+
+    settled.terminal = True
+    settled.direction = -1
+    return solve_ivp(lambda _t, x: vector_field(G, f, x), (0.0, float(t_end)),
+                     np.asarray(x0, dtype=float), method="RK45", rtol=rtol,
+                     atol=atol, events=settled)

@@ -362,6 +362,8 @@ C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
     (["bounds", *C3, "--cap", "0"], 2, "--cap"),
     (["cover", "find", "--graph", "c3.json", "--target", "c3.json", "--cap", "-1"], 2,
      "--cap"),
+    (["solve", *C3, "--seed=-1"], 2, "--seed"),
+    (["basin", *C3, "--point", "0,0,0", "--seed=-1"], 2, "--seed"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)

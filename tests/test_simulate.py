@@ -75,19 +75,10 @@ def test_validation():
         integrate(G, SIN, np.zeros(5))
 
 
-class _FakeSolution:
-    def __init__(self, status, t, y, message="fake"):
-        self.status = status
-        self.t = t
-        self.y = y
-        self.message = message
-
-
 def test_step_underflow_maps_to_error(monkeypatch):
-    def fake_solve_ivp(*args, **kwargs):
-        return _FakeSolution(-1, np.array([0.0]), np.zeros((3, 1)),
-                             "Required step size is less than spacing between numbers.")
-    monkeypatch.setattr(simulate_mod, "solve_ivp", fake_solve_ivp)
+    def fake_dopri5(*args, **kwargs):
+        return np.array([0.0]), np.zeros((1, 3)), -1
+    monkeypatch.setattr(simulate_mod, "_dopri5", fake_dopri5)
     with pytest.raises(StepUnderflowError):
         simulate_mod.integrate(complete_graph(3), SIN, np.zeros(3))
 
@@ -95,10 +86,10 @@ def test_step_underflow_maps_to_error(monkeypatch):
 def test_energy_rise_aborts(monkeypatch):
     G = path_graph(2)
     # fabricate a "trajectory" that climbs uphill in energy
-    states = np.array([[0.0, 0.5], [0.0, 1.5]]).T
-    def fake_solve_ivp(*args, **kwargs):
-        return _FakeSolution(0, np.array([0.0, 1.0]), states)
-    monkeypatch.setattr(simulate_mod, "solve_ivp", fake_solve_ivp)
+    states = np.array([[0.0, 0.5], [0.0, 1.5]])
+    def fake_dopri5(*args, **kwargs):
+        return np.array([0.0, 1.0]), states, 0
+    monkeypatch.setattr(simulate_mod, "_dopri5", fake_dopri5)
     with pytest.raises(NumericalError):
         simulate_mod.integrate(G, SIN, np.array([0.0, 0.5]))
 
