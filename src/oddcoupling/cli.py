@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -455,7 +456,14 @@ _HANDLERS = {
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        # overflow and NaN are caught by explicit finiteness checks and
+        # LinAlgError, which decide the exit code; numpy's warnings would
+        # only print before the message. A warnings filter costs nothing
+        # until a warning fires; np.errstate adds to every ufunc call, and
+        # the integrator makes millions of them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return _HANDLERS[args.command](args)
     except (ValidationError, OSError) as exc:  # OSError: an unwritable output file
         print(f"error: {exc}", file=sys.stderr)
         return 2

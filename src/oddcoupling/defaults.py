@@ -43,9 +43,11 @@ ZERO_PATTERN_VERTEX_CAP = 20
 DEFAULT_SEED = 1729
 
 
-def eq_tolerance(x, scale: float = EQ_TOL_SCALE) -> float:
-    """Residual acceptance threshold at state ``x``."""
-    return scale * (1.0 + float(np.abs(x).max(initial=0.0)))
+def eq_tolerance(x, scale: float = EQ_TOL_SCALE):
+    """Residual acceptance threshold at state ``x``; a stack of states of
+    shape (k, n) gives an array of k thresholds."""
+    top = np.abs(x).max(axis=-1, initial=0.0)
+    return scale * (1.0 + (float(top) if top.ndim == 0 else top))
 
 
 def rank_tolerance(n: int, m: int, sigma_max: float) -> float:

@@ -27,10 +27,25 @@ from .errors import NoConvergenceError, NotARootError, ValidationError
 from .graphs import Graph
 
 
+def _rowwise(M, V) -> np.ndarray:
+    """M @ v for every row v of the stack V (or of a stack of matrices M).
+
+    Each row goes through its own matrix-vector product and rounds as the
+    lone product M @ v does; a matrix product over the stack (V @ M.T) sums
+    in another order and changes the last bits of many rows.
+    """
+    return np.matmul(M, V[..., None])[..., 0]
+
+
 def vector_field(G: Graph, f: CouplingFunction, x) -> np.ndarray:
-    """Right-hand side -B f(B^T x); equals minus the energy gradient."""
+    """Right-hand side -B f(B^T x); equals minus the energy gradient.
+
+    A stack ``x`` of shape (k, n) gives the k fields, each equal bit for bit
+    to the single-state call.
+    """
     x = np.asarray(x, dtype=float)
-    return -(G.B @ np.asarray(f(G.Bt @ x)))
+    mv = np.matmul if x.ndim == 1 else _rowwise
+    return -mv(G.B, np.asarray(f(mv(G.Bt, x))))
 
 
 def energy(G: Graph, f: CouplingFunction, x):
@@ -46,9 +61,14 @@ def energy(G: Graph, f: CouplingFunction, x):
 
 def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     """Energy Hessian B diag(f'(B^T x)) B^T, a weighted graph Laplacian;
-    minus the Jacobian of the vector field."""
+    minus the Jacobian of the vector field.
+
+    A stack ``x`` of shape (k, n) gives the (k, n, n) stack of Hessians, each
+    equal bit for bit to the single-state call.
+    """
     x = np.asarray(x, dtype=float)
-    return (G.B * np.asarray(f.deriv(G.Bt @ x))) @ G.Bt
+    mv = np.matmul if x.ndim == 1 else _rowwise
+    return (G.B * np.asarray(f.deriv(mv(G.Bt, x)))[..., None, :]) @ G.Bt
 
 
 def canonical_form(G: Graph, x) -> np.ndarray:
@@ -72,13 +92,17 @@ class EquilibriumPoint:
 
 
 def equilibrium_point(G: Graph, f: CouplingFunction, x) -> EquilibriumPoint:
+    return _point(G, x, float(np.linalg.norm(vector_field(G, f, x))))
+
+
+def _point(G: Graph, x, residual: float) -> EquilibriumPoint:
+    """The point at a copy of state ``x`` whose residual ||F(x)|| is known."""
     x = np.array(x, dtype=float)
     y = G.Bt @ x
-    res = float(np.linalg.norm(vector_field(G, f, x)))
     canon = canonical_form(G, x)
     for arr in (x, y, canon):
         arr.setflags(write=False)
-    return EquilibriumPoint(x=x, y=y, residual=res, canonical=canon)
+    return EquilibriumPoint(x=x, y=y, residual=residual, canonical=canon)
 
 
 # ---------------------------------------------------------------------------
@@ -133,45 +157,83 @@ def wrap_to_fundamental(G: Graph, x, period: float) -> np.ndarray:
 # Newton solver and multistart atlas
 # ---------------------------------------------------------------------------
 
-def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60) -> EquilibriumPoint:
-    """Damped Newton iteration on F(x) = -B f(B^T x).
+# stop reasons of newton_batch, one per start
+CONVERGED, STALLED, CAPPED = 1, 2, 3
+
+# multistart_atlas solves its starts in blocks of NEWTON_BLOCK // n^2, so
+# that the (block, n, n) Hessian and SVD stacks stay near 256 KB each
+NEWTON_BLOCK = 2**15
+
+
+def newton_batch(G: Graph, f: CouplingFunction, X, max_iter: int):
+    """Damped Newton iteration on F(x) = -B f(B^T x) from every row of the
+    stack ``X``, shape (S, n).
 
     The Jacobian is symmetric and singular (translations, and tangentially
     along any manifold of equilibria), so steps use a truncated pseudo-inverse;
     the minimum-norm step is automatically orthogonal to the kernel. Progress
-    is enforced by a backtracking line search on ||F||^2.
+    is enforced by a backtracking line search on ||F||^2, row by row: each
+    halving evaluates the field only at the rows still searching.
+
+    Every row takes the steps a lone start would, bit for bit. Returns the
+    final states, their residuals ||F|| and a stop reason per row: CONVERGED,
+    STALLED (the line search gave up; state and residual are where it did) or
+    CAPPED (``max_iter`` steps without convergence).
     """
+    X = np.array(X, dtype=float)
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("x0 must be finite")
+    F = vector_field(G, f, X)
+    # vecdot, like norm on one vector, sums with dot
+    res = np.sqrt(np.vecdot(F, F))
+    stop = np.full(len(X), CAPPED)
+    live = np.arange(len(X))  # rows still iterating
+    steps = max(max_iter, 0)
+    for it in range(steps + 1):
+        x = X[live]
+        done = res[live] <= eq_tolerance(x)
+        stop[live[done]] = CONVERGED
+        live, x = live[~done], x[~done]
+        if it == steps or not live.size:
+            break
+        U, s, Vt = np.linalg.svd(-hessian(G, f, x))
+        cutoff = rank_tolerance(G.n, G.n, s[:, 0])
+        kept = s > cutoff[:, None]
+        inv = np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0)
+        delta = -_rowwise(Vt.swapaxes(1, 2), inv * _rowwise(U.swapaxes(1, 2), F[live]))
+        base = res[live] * res[live]
+        # the rows still searching share the step length t
+        t = 1.0
+        look = np.arange(live.size)  # positions in live still searching
+        while look.size and t > 1e-7:
+            x_t = x[look] + t * delta[look]
+            F_t = vector_field(G, f, x_t)
+            r_t = np.sqrt(np.vecdot(F_t, F_t))
+            ok = r_t * r_t <= (1.0 - 1e-4 * t) * base[look]
+            rows = live[look[ok]]
+            X[rows], F[rows], res[rows] = x_t[ok], F_t[ok], r_t[ok]
+            look = look[~ok]
+            t *= 0.5
+        if look.size:  # the line search gave up on these rows
+            stop[live[look]] = STALLED
+            live = np.delete(live, look)
+    return X, res, stop
+
+
+def newton_solve(G: Graph, f: CouplingFunction, x0, max_iter: int = 60) -> EquilibriumPoint:
+    """``newton_batch`` from the one start ``x0``; raises NoConvergenceError
+    unless it converges."""
     x = np.array(x0, dtype=float)
     if x.shape != (G.n,):
         raise ValidationError(f"x0 must have length {G.n}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x0 must be finite")
-
-    Fx = vector_field(G, f, x)
-    res = float(np.linalg.norm(Fx))
-    for _ in range(max_iter):
-        if res <= eq_tolerance(x):
-            return equilibrium_point(G, f, x)
-        U, s, Vt = np.linalg.svd(-hessian(G, f, x))
-        cutoff = rank_tolerance(G.n, G.n, float(s[0]) if s.size else 0.0)
-        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-        delta = -(Vt.T @ (inv * (U.T @ Fx)))
-        t = 1.0
-        base = res * res
-        while t > 1e-7:
-            x_t = x + t * delta
-            F_t = vector_field(G, f, x_t)
-            r_t = float(np.linalg.norm(F_t))
-            if r_t * r_t <= (1.0 - 1e-4 * t) * base:
-                x, Fx, res = x_t, F_t, r_t
-                break
-            t *= 0.5
-        else:
-            raise NoConvergenceError(f"line search stalled at residual {res:.3e}")
-    if res <= eq_tolerance(x):
-        return equilibrium_point(G, f, x)
+    X, res, stop = newton_batch(G, f, x[None], max_iter)
+    r = float(res[0])
+    if stop[0] == CONVERGED:
+        return _point(G, X[0], r)
+    if stop[0] == STALLED:
+        raise NoConvergenceError(f"line search stalled at residual {r:.3e}")
     raise NoConvergenceError(f"no convergence after {max_iter} iterations "
-                             f"(residual {res:.3e})")
+                             f"(residual {r:.3e})")
 
 
 @dataclass(frozen=True)
@@ -217,14 +279,12 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
         raise ValidationError("n_starts must be >= 1")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-box_radius, box_radius, size=(n_starts, G.n))
-
-    def attempt(x0):
-        try:
-            return newton_solve(G, f, x0, max_iter=max_iter)
-        except NoConvergenceError:
-            return None
-
-    converged = [p for p in map(attempt, starts) if p is not None]
+    block = max(1, NEWTON_BLOCK // max(G.n * G.n, 1))
+    converged = []
+    for lo in range(0, n_starts, block):
+        X, res, stop = newton_batch(G, f, starts[lo:lo + block], max_iter)
+        converged += [_point(G, x, float(r))
+                      for x, r, why in zip(X, res, stop) if why == CONVERGED]
     converged.sort(key=lambda p: (p.residual, tuple(p.canonical)))
     kept: list[EquilibriumPoint] = []
     kept_y = np.empty((len(converged), G.m))

@@ -6,8 +6,8 @@ from itertools import permutations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from oddcoupling import build_graph, vector_field
-from oddcoupling.defaults import ODE_ATOL, ODE_RTOL, eq_tolerance
+from oddcoupling import build_graph, hessian, vector_field
+from oddcoupling.defaults import ODE_ATOL, ODE_RTOL, eq_tolerance, rank_tolerance
 from oddcoupling.homology import _signed_vector
 
 
@@ -126,6 +126,37 @@ def greedy_dedup(G, f, points, distance):
         else:
             kept.append(p)
     return kept, wound
+
+
+def newton_oracle(G, f, x0, max_iter):
+    """The per-start damped Newton loop that ``equilibria.newton_batch``
+    replaced: one SVD, one Hessian and a backtracking line search per step.
+
+    Returns (x, residual, stop), stop being "converged", "stalled" (the line
+    search gave up at that x and residual) or "capped"."""
+    x = np.array(x0, dtype=float)
+    Fx = vector_field(G, f, x)
+    res = float(np.linalg.norm(Fx))
+    for _ in range(max_iter):
+        if res <= eq_tolerance(x):
+            return x, res, "converged"
+        U, s, Vt = np.linalg.svd(-hessian(G, f, x))
+        cutoff = rank_tolerance(G.n, G.n, float(s[0]) if s.size else 0.0)
+        inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+        delta = -(Vt.T @ (inv * (U.T @ Fx)))
+        t = 1.0
+        base = res * res
+        while t > 1e-7:
+            x_t = x + t * delta
+            F_t = vector_field(G, f, x_t)
+            r_t = float(np.linalg.norm(F_t))
+            if r_t * r_t <= (1.0 - 1e-4 * t) * base:
+                x, Fx, res = x_t, F_t, r_t
+                break
+            t *= 0.5
+        else:
+            return x, res, "stalled"
+    return x, res, "converged" if res <= eq_tolerance(x) else "capped"
 
 
 def legacy_enumerate_cycles(G, cap):

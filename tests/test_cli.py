@@ -333,12 +333,18 @@ def test_malformed_phi_exits_2(workdir, capsys):
     assert "--phi" in capsys.readouterr().err
 
 
-def test_module_entry_point():
+def run_module(argv, timeout=60):
+    """``python -m oddcoupling.cli`` in a fresh interpreter, importing the
+    package under test."""
     src = Path(oddcoupling.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "oddcoupling.cli", "--version"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "oddcoupling.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_module_entry_point():
+    proc = run_module(["--version"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ocl {oddcoupling.__version__}" == "ocl 0.1.0"
 
@@ -373,11 +379,7 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
     if argv[0] == "simulate":
         # in a subprocess, so that an integrator that hangs fails the test
         # instead of stalling the suite
-        src = Path(oddcoupling.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "oddcoupling.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=20)
+        proc = run_module(argv, timeout=20)
         got, err = proc.returncode, proc.stderr
     else:
         try:
@@ -388,3 +390,20 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
     assert got == code
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *C3, "--x0=1e200,0,0", "--t-end", "1"],
+    ["solve", "--graph", "c3.json", "--coupling", "huge.json"],
+    ["continue", *C3, "--point=0,1,0", "--step", "1e300"],
+])
+def test_numerical_failure_prints_only_its_message(workdir, monkeypatch, argv):
+    # numpy's overflow warnings must not reach stderr ahead of the message
+    monkeypatch.chdir(workdir)
+    (workdir / "c3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    (workdir / "huge.json").write_text(json.dumps(
+        {"family": "odd_poly", "coeffs": [1e308, 1e308]}))
+    proc = run_module(argv, timeout=20)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")

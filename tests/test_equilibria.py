@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from oddcoupling import (
     edge_space_distance,
     energy,
     equilibrium_point,
+    hessian,
     make_polynomial,
     make_sine_combination,
     membership_tests,
@@ -25,11 +27,12 @@ from oddcoupling.corpus import (
     path_graph,
     star_graph,
 )
+from oddcoupling import equilibria
 from oddcoupling.defaults import DEDUP_DISTANCE
-from oddcoupling.equilibria import EquilibriaClass, points_equivalent
+from oddcoupling.equilibria import EquilibriaClass, newton_batch, points_equivalent
 from oddcoupling.errors import NoConvergenceError, NotARootError, ValidationError
 
-from helpers import greedy_dedup, random_connected_graph, random_graph
+from helpers import greedy_dedup, newton_oracle, random_connected_graph, random_graph
 
 SIN = make_sine_combination({1: 1.0})
 CUBIC = make_polynomial([-1.0, 1.0])  # x^3 - x
@@ -279,7 +282,18 @@ def test_stacked_distance_is_bitwise_rowwise():
                                         for row in Y]
 
 
-@pytest.mark.parametrize("name, box_radius", [
+def test_stacked_field_and_hessian_are_bitwise_rowwise():
+    rng = np.random.default_rng(29)
+    for f in (SIN, CUBIC, make_sine_combination({1: 1.0, 3: -0.4})):
+        for _ in range(20):
+            G = random_graph(rng, n_max=12, p=0.5)
+            X = rng.uniform(-4, 4, (30, G.n))
+            assert vector_field(G, f, X).tolist() == [vector_field(G, f, x).tolist()
+                                                      for x in X]
+            assert hessian(G, f, X).tolist() == [hessian(G, f, x).tolist() for x in X]
+
+
+ORACLE_ATLASES = pytest.mark.parametrize("name, box_radius", [
     ("k4-sin", math.pi + 0.3),
     ("k4-sin3", math.pi + 0.3),
     ("c3-cubic", 2.0),
@@ -289,21 +303,68 @@ def test_stacked_distance_is_bitwise_rowwise():
     ("cover7-cubic", 2.0),
     ("c5-sin", math.pi + 0.3),
 ])
-def test_atlas_dedup_matches_greedy_oracle(name, box_radius):
+
+
+@ORACLE_ATLASES
+def test_atlas_dedup_matches_greedy_oracle(name, box_radius, monkeypatch):
     G, f, _ = load_corpus_example(name)
     n_starts, seed = 150, 17
+    # blocks of 7 starts, so that the last block is a partial one
+    monkeypatch.setattr(equilibria, "NEWTON_BLOCK", 7 * G.n * G.n)
     atlas = multistart_atlas(G, f, n_starts=n_starts, seed=seed, box_radius=box_radius)
     starts = np.random.default_rng(seed).uniform(-box_radius, box_radius,
                                                  size=(n_starts, G.n))
     converged = []
     for x0 in starts:
-        try:
-            converged.append(newton_solve(G, f, x0, max_iter=80))
-        except NoConvergenceError:
-            pass
+        x, _, stop = newton_oracle(G, f, x0, max_iter=80)
+        if stop == "converged":
+            converged.append(equilibrium_point(G, f, x))
     converged.sort(key=lambda p: (p.residual, tuple(p.canonical)))
     kept, wound = greedy_dedup(G, f, converged, DEDUP_DISTANCE)
     assert atlas.n_converged == len(converged)
-    assert [p.x.tolist() for p in atlas.points] == [p.x.tolist() for p in kept]
+    assert [(p.x.tolist(), p.residual) for p in atlas.points] == [
+        (p.x.tolist(), p.residual) for p in kept]
     if f.periodic is not None:
         assert wound > 0
+
+
+@ORACLE_ATLASES
+@pytest.mark.parametrize("n_starts, max_iter", [(150, 80), (1, 80), (150, 1)])
+def test_newton_batch_matches_oracle(name, box_radius, n_starts, max_iter):
+    G, f, _ = load_corpus_example(name)
+    starts = np.random.default_rng(17).uniform(-box_radius, box_radius,
+                                               size=(n_starts, G.n))
+    X, res, stop = newton_batch(G, f, starts, max_iter)
+    reason = {equilibria.CONVERGED: "converged", equilibria.STALLED: "stalled",
+              equilibria.CAPPED: "capped"}
+    messages = {"stalled": "line search stalled at residual {:.3e}",
+                "capped": f"no convergence after {max_iter} iterations (residual {{:.3e}})"}
+    for i, x0 in enumerate(starts):
+        x, r, why = newton_oracle(G, f, x0, max_iter)
+        assert (X[i].tolist(), float(res[i]), reason[stop[i]]) == (x.tolist(), r, why)
+        if why == "converged":
+            if i < 10:
+                p = newton_solve(G, f, x0, max_iter=max_iter)
+                assert (p.x.tolist(), p.residual) == (x.tolist(), r)
+        else:
+            with pytest.raises(NoConvergenceError) as exc:
+                newton_solve(G, f, x0, max_iter=max_iter)
+            assert str(exc.value) == messages[why].format(r)
+
+
+def test_atlas_memory_is_bounded_by_blocks():
+    # one unblocked stack of all 1000 starts peaks near 14 MB
+    cells = 8
+    k = cells + 1
+    edges = ([(i, i + 1) for i in range(cells)] + [(k + i, k + i + 1) for i in range(cells)]
+             + [(i, k + i) for i in range(k)])
+    G = build_graph(edges, n=2 * k)
+    tracemalloc.start()
+    try:
+        atlas = multistart_atlas(G, make_polynomial([1.0, 1.0]), n_starts=1000, seed=5,
+                                 box_radius=3.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert atlas.n_converged > 0
+    assert peak < 8 * 2**20
