@@ -282,12 +282,12 @@ def _cmd_continue(args) -> int:
     sample = run_mode(G, f, p0, step=args.step, zero_scale=args.t_zero,
                       **{k: v for k, v in kwargs.items() if v is not None})
     if args.csv:
-        rows = [[i] + list(p.x) + [d, int(i in sample.singular_flags)]
+        rows = [[i] + p.x.tolist() + [d, int(i in sample.singular_flags)]
                 for i, (p, d) in enumerate(zip(sample.points, sample.local_dim))]
         write_csv(args.csv, ["index"] + [f"x{v}" for v in range(G.n)]
                   + ["local_dim", "singular"], rows)
     if args.spectrum_csv:
-        rows = [[i] + list(stability_mod.Spectrum.at(G, f, p.x).values)
+        rows = [[i] + stability_mod.Spectrum.at(G, f, p.x).values.tolist()
                 for i, p in enumerate(sample.points)]
         write_csv(args.spectrum_csv,
                   ["index"] + [f"lambda{j}" for j in range(G.n)], rows)
@@ -324,8 +324,7 @@ def _cmd_simulate(args) -> int:
     traj = simulate_mod.integrate(G, f, x0, t_end=args.t_end,
                                   rtol=args.rtol, atol=args.atol)
     if args.csv:
-        rows = [[t] + list(x) + [e]
-                for t, x, e in zip(traj.times, traj.states, traj.energies)]
+        rows = np.column_stack([traj.times, traj.states, traj.energies]).tolist()
         write_csv(args.csv, ["t"] + [f"x{v}" for v in range(G.n)] + ["energy"], rows)
     config = RunConfig("simulate", args.graph, args.coupling,
                        extras={"t_end": args.t_end, "rtol": args.rtol,

@@ -9,16 +9,19 @@ breadth-first with a dedup grid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import CONTINUATION_STEP, ZERO_TOL_SCALE, eq_tolerance
+from .defaults import CONTINUATION_STEP, EQ_TOL_SCALE, ZERO_TOL_SCALE
 from .equilibria import (
+    NEWTON_BLOCK,
     EquilibriumPoint,
+    _point,
+    _rowwise,
     edge_space_distance,
-    equilibrium_point,
     hessian,
     vector_field,
     wrap_to_fundamental,
@@ -46,10 +49,28 @@ class LocalDimension:
     gap: tuple[float, float]
 
 
-def local_dimension(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
-                    zero_scale: float = ZERO_TOL_SCALE) -> LocalDimension:
-    """Tangent-space dimension at an accepted equilibrium (eigh, for the eigenvectors)."""
-    evals, evecs = np.linalg.eigh(hessian(G, f, p.x))
+def local_dimension(G: Graph, f: CouplingFunction,
+                    p: EquilibriumPoint | list[EquilibriumPoint],
+                    zero_scale: float = ZERO_TOL_SCALE) -> LocalDimension | list[LocalDimension]:
+    """Tangent-space dimension at an accepted equilibrium (eigh, for the
+    eigenvectors).
+
+    A list of points gives a list of LocalDimension, from one stacked
+    Hessian and one stacked eigh; each equals the single-point call bit for
+    bit.
+    """
+    Dn = G.D / np.sqrt(G.D.sum(axis=1, keepdims=True))
+    if isinstance(p, EquilibriumPoint):
+        evals, evecs = np.linalg.eigh(hessian(G, f, p.x))
+        return _local_dimension(G, Dn, evals, evecs, zero_scale)
+    evals, evecs = np.linalg.eigh(hessian(G, f, np.array([q.x for q in p])))
+    return [_local_dimension(G, Dn, e, v, zero_scale) for e, v in zip(evals, evecs)]
+
+
+def _local_dimension(G: Graph, Dn: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
+                     zero_scale: float) -> LocalDimension:
+    """The kernel data from one eigendecomposition; Dn holds the normalised
+    component indicators."""
     spec = Spectrum.of(evals, zero_scale)
     zero_mask = spec.zero_mask
     d = max(0, spec.zero_multiplicity - G.c)
@@ -57,7 +78,6 @@ def local_dimension(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
     gap = (float(np.min(np.abs(evals[~zero_mask]), initial=np.inf)),
            float(np.max(np.abs(evals[zero_mask]), initial=0.0)))
 
-    Dn = G.D / np.sqrt(G.D.sum(axis=1, keepdims=True))
     K = evecs[:, zero_mask]
     K = K - Dn.T @ (Dn @ K)  # project out translations
     if d > 0 and K.size:
@@ -75,15 +95,32 @@ def local_dimension(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
     )
 
 
+# why a trace or a sample stopped: out-of-band, reports leave it out
+CLOSED = "closed"
+CORRECTOR_FAILED = "corrector_failed"
+DIMENSION_JUMP = "dimension_jump"
+NO_KERNEL_DIRECTION = "no_kernel_direction"
+STEP_BUDGET = "step_budget"
+POINT_BUDGET = "point_budget"
+FRONTIER_EXHAUSTED = "frontier_exhausted"
+
+
 @dataclass(frozen=True)
 class ManifoldSample:
-    """Ordered equilibrium samples along a traced or explored component."""
+    """Ordered equilibrium samples along a traced or explored component.
+
+    ``stop`` says why the run ended: CLOSED, CORRECTOR_FAILED,
+    DIMENSION_JUMP, NO_KERNEL_DIRECTION or STEP_BUDGET for a curve,
+    POINT_BUDGET or FRONTIER_EXHAUSTED for a surface. ``to_dict`` leaves it
+    out, so reports do not depend on it.
+    """
 
     points: tuple[EquilibriumPoint, ...]
     local_dim: tuple[int, ...]
     closed: bool
     singular_flags: tuple[int, ...]  # indices into points
     step: float
+    stop: str
 
     def to_dict(self) -> dict:
         return {
@@ -109,30 +146,75 @@ def _edge_normalized(G: Graph, t: np.ndarray) -> np.ndarray:
     return t / nrm
 
 
-def _correct(G: Graph, f: CouplingFunction, x_pred: np.ndarray,
-             tangents: np.ndarray, max_iter: int = 30) -> np.ndarray | None:
-    """Newton iteration for F(x) = 0 in the affine slice through x_pred
-    orthogonal to the given tangent directions and to the translations."""
-    T = np.atleast_2d(tangents)
-    x = x_pred.copy()
-    for _ in range(max_iter):
+# outcomes of _correct, one per row
+CONVERGED, NONFINITE, DIVERGED, CAPPED = 1, 2, 3, 4
+
+
+def _correct(G: Graph, f: CouplingFunction, X_pred: np.ndarray, T: np.ndarray,
+             max_iter: int = 30):
+    """Newton iteration for F(x) = 0 from every row of the stack ``X_pred``,
+    shape (S, n), each in the affine slice through its predictor orthogonal
+    to the rows of its tangent slice ``T[i]`` (T has shape (S, k, n)) and to
+    the translations.
+
+    Every row takes the steps a lone correction with the C-ordered matrix
+    ``T[i]`` would, bit for bit (a transposed view rounds T @ d differently).
+    Each row's system [-H; T; D] goes to its own ``np.linalg.lstsq`` call.
+
+    Returns the final states, their residuals ||F|| and an outcome per row:
+    CONVERGED, NONFINITE or DIVERGED (the step was not finite, or longer than
+    1e3 (1 + |x|_inf); the state is the one before that step) or CAPPED
+    (``max_iter`` steps without convergence; the state after the last one).
+    """
+    S, n = X_pred.shape
+    k = T.shape[1]
+    X, res, outcome = np.empty((S, n)), np.empty(S), np.full(S, CAPPED)
+    # the T and D rows of every row's system stay fixed
+    A = np.empty((S, n + k + G.c, n))
+    A[:, n:n + k] = T
+    A[:, n + k:] = G.D
+    rows = np.arange(S)  # the row of X_pred each live row came from
+    x, x_pred = X_pred, X_pred
+    for it in range(max_iter + 1):
         F = vector_field(G, f, x)
-        cons_t = T @ (x - x_pred)
-        cons_d = G.D @ (x - x_pred)
-        scale = 1.0 + float(np.max(np.abs(x)))
-        if (np.linalg.norm(F) <= eq_tolerance(x)
-                and np.max(np.abs(cons_t), initial=0.0) <= 1e-9 * scale
-                and np.max(np.abs(cons_d), initial=0.0) <= 1e-9 * scale):
-            return x
-        A = np.vstack([-hessian(G, f, x), T, G.D])
-        r = np.concatenate([F, cons_t, cons_d])
-        delta, *_ = np.linalg.lstsq(A, -r, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            return None
+        # vecdot, like norm on one vector, sums with dot
+        rn = np.sqrt(np.vecdot(F, F))
+        if it == max_iter:
+            break
+        dx = x - x_pred
+        r = np.concatenate([F, _rowwise(T, dx), _rowwise(G.D, dx)], axis=1)
+        scale = 1.0 + np.abs(x).max(axis=1)
+        # EQ_TOL_SCALE * scale is eq_tolerance(x), bit for bit
+        done = (rn <= EQ_TOL_SCALE * scale) & (np.abs(r[:, n:]).max(axis=1) <= 1e-9 * scale)
+        n_done = np.count_nonzero(done)
+        if n_done == S:  # every row at once: no indexing
+            outcome[:] = CONVERGED
+            return x.copy(), rn, outcome
+        if n_done:
+            idx = rows[done]
+            X[idx], res[idx], outcome[idx] = x[done], rn[done], CONVERGED
+            if n_done == rows.size:
+                return X, res, outcome
+            live = ~done
+            rows, x, x_pred, T, A = rows[live], x[live], x_pred[live], T[live], A[live]
+            r, rn, scale = r[live], rn[live], scale[live]
+        A[:, :n] = -hessian(G, f, x)
+        delta = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, -r)])
+        # a step that is not finite fails this test too
+        short = np.sqrt(np.vecdot(delta, delta)) <= 1e3 * scale
+        n_short = np.count_nonzero(short)
+        if n_short < rows.size:
+            failed = ~short
+            idx = rows[failed]
+            X[idx], res[idx] = x[failed], rn[failed]
+            outcome[idx] = np.where(np.isfinite(delta[failed]).all(axis=1), DIVERGED, NONFINITE)
+            if not n_short:
+                return X, res, outcome
+            rows, x, delta, x_pred, T, A = (rows[short], x[short], delta[short],
+                                            x_pred[short], T[short], A[short])
         x = x + delta
-        if np.linalg.norm(delta) > 1e3 * scale:
-            return None
-    return None
+    X[rows], res[rows] = x, rn
+    return X, res, outcome
 
 
 def _aligned_kernel_direction(basis: np.ndarray, secant: np.ndarray) -> np.ndarray | None:
@@ -154,8 +236,8 @@ def trace_curve(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
 
     Stops on closure (return to p0 with aligned direction, winding shifts
     identified for periodic coupling), on a singularity (corrector failure
-    after one step bisection, or a kernel-dimension jump; the point is
-    flagged), or after max_steps.
+    after one step bisection, a kernel-dimension jump, or no kernel direction
+    along the last step; the point is flagged), or after max_steps.
     """
     if not p0.accepted():
         raise ValidationError(f"start residual {p0.residual:.3e} exceeds tolerance")
@@ -168,7 +250,6 @@ def trace_curve(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
     points = [p0]
     dims = [info0.d]
     flags: list[int] = []
-    closed = False
     d_curve = info0.d
 
     t = _edge_normalized(G, info0.kernel_basis[:, direction_index])
@@ -176,43 +257,50 @@ def trace_curve(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
     x = p0.x.copy()
 
     for _ in range(max_steps):
-        x_new = None
         for trial_step in (step, 0.5 * step):
-            x_new = _correct(G, f, x + trial_step * t, t)
-            if x_new is not None:
+            X, res, outcome = _correct(G, f, (x + trial_step * t)[None], t[None, None])
+            if outcome[0] == CONVERGED:
                 break
-        if x_new is None:
+        else:
             flags.append(len(points) - 1)
+            stop = CORRECTOR_FAILED
             break
-        p_new = equilibrium_point(G, f, x_new)
+        x_new = X[0]
+        p_new = _point(G, x_new, float(res[0]))
         info = local_dimension(G, f, p_new, zero_scale)
         points.append(p_new)
         dims.append(info.d)
 
         if info.d != d_curve:
             flags.append(len(points) - 1)
+            stop = DIMENSION_JUMP
             break
 
         secant = x_new - x
+        # the cheap alignment test first: it fails on half of a loop
         if (len(points) > 3
-                and edge_space_distance(G, p_new.y, p0.y, period=f.periodic) < 0.5 * step
-                and float((G.Bt @ secant) @ (G.Bt @ t0)) > 0.0):
-            closed = True
+                and float((G.Bt @ secant) @ (G.Bt @ t0)) > 0.0
+                and edge_space_distance(G, p_new.y, p0.y, period=f.periodic) < 0.5 * step):
+            stop = CLOSED
             break
 
         t_next = _aligned_kernel_direction(info.kernel_basis, secant)
         if t_next is None:
             flags.append(len(points) - 1)
+            stop = NO_KERNEL_DIRECTION
             break
         t = _edge_normalized(G, t_next)
         x = x_new
+    else:
+        stop = STEP_BUDGET
 
     return ManifoldSample(
         points=tuple(points),
         local_dim=tuple(dims),
-        closed=closed,
+        closed=stop == CLOSED,
         singular_flags=tuple(flags),
         step=step,
+        stop=stop,
     )
 
 
@@ -224,6 +312,12 @@ def sample_manifold(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
     New points come from stepping along each kernel direction and correcting
     in the slice that pins all tangent coordinates; a grid of spacing ``step``
     in (wrapped) edge space deduplicates. The budget caps the cloud size.
+
+    The candidates (frontier point, direction, sign) are corrected in stacked
+    batches of at most budget - len(points) rows, and of NEWTON_BLOCK // n^2
+    rows at most. Each candidate adds at most one point, so a search that
+    corrects one candidate at a time would try every candidate of a batch
+    too; admitting the results in order gives its points bit for bit.
     """
     if not p0.accepted():
         raise ValidationError(f"start residual {p0.residual:.3e} exceeds tolerance")
@@ -232,50 +326,59 @@ def sample_manifold(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
         raise NotOnManifoldError(f"local dimension is {info0.d}; need >= 2")
     d0 = info0.d
 
-    def grid_key(p: EquilibriumPoint):
-        x = p.x
+    def grid_key(x: np.ndarray):
         if f.periodic is not None:
             x = wrap_to_fundamental(G, x, f.periodic)
         return tuple(np.round((G.Bt @ x) / step).astype(int))
 
+    def candidates(x: np.ndarray, basis: np.ndarray):
+        return [(x, basis, j, sign) for j in range(basis.shape[1]) for sign in (1.0, -1.0)]
+
     points = [p0]
     dims = [d0]
     flags: list[int] = []
-    seen = {grid_key(p0)}
-    frontier = [(p0, info0)]
+    seen = {grid_key(p0.x)}
+    queue = deque(candidates(p0.x, info0.kernel_basis))
+    block = max(1, NEWTON_BLOCK // (G.n * G.n))
 
-    while frontier and len(points) < budget:
-        p, info = frontier.pop(0)
-        if info.d != d0:
-            continue
-        basis = info.kernel_basis
-        for j in range(basis.shape[1]):
-            for sign in (1.0, -1.0):
-                if len(points) >= budget:
-                    break
-                t = _edge_normalized(G, sign * basis[:, j])
-                x_new = _correct(G, f, p.x + step * t, basis.T)
-                if x_new is None:
-                    continue
-                p_new = equilibrium_point(G, f, x_new)
-                key = grid_key(p_new)
-                if key in seen:
-                    continue
+    while queue and len(points) < budget:
+        # one stack shares the tangent count k
+        k = queue[0][1].shape[1]
+        batch = []
+        while (queue and len(batch) < min(budget - len(points), block)
+               and queue[0][1].shape[1] == k):
+            batch.append(queue.popleft())
+        X_pred = np.array([x + step * _edge_normalized(G, sign * basis[:, j])
+                           for x, basis, j, sign in batch])
+        # kernel bases come out of a column mask F-ordered, so each basis.T
+        # is C-ordered, as the slices of this stack are
+        T = np.array([basis.T for _, basis, _, _ in batch])
+        X, res, outcome = _correct(G, f, X_pred, T)
+        new = []
+        for x, r in zip(X[outcome == CONVERGED], res[outcome == CONVERGED]):
+            key = grid_key(x)
+            if key not in seen:
                 seen.add(key)
-                info_new = local_dimension(G, f, p_new, zero_scale)
-                points.append(p_new)
-                dims.append(info_new.d)
-                if info_new.d != d0:
-                    flags.append(len(points) - 1)
-                else:
-                    frontier.append((p_new, info_new))
+                new.append(_point(G, x, float(r)))
+        if not new:
+            continue
+        for p, info in zip(new, local_dimension(G, f, new, zero_scale)):
+            points.append(p)
+            dims.append(info.d)
+            if info.d != d0:
+                flags.append(len(points) - 1)
+            else:
+                queue.extend(candidates(p.x, info.kernel_basis))
 
     order = sorted(range(len(points)), key=lambda i: tuple(points[i].canonical))
-    flag_set = set(flags)
+    position = [0] * len(points)
+    for new_i, old_i in enumerate(order):
+        position[old_i] = new_i
     return ManifoldSample(
         points=tuple(points[i] for i in order),
         local_dim=tuple(dims[i] for i in order),
         closed=False,
-        singular_flags=tuple(sorted(order.index(i) for i in flag_set)),
+        singular_flags=tuple(sorted(position[i] for i in flags)),
         step=step,
+        stop=POINT_BUDGET if len(points) >= budget else FRONTIER_EXHAUSTED,
     )

@@ -277,6 +277,8 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
     """
     if n_starts < 1:
         raise ValidationError("n_starts must be >= 1")
+    if not np.isfinite(2.0 * box_radius):
+        raise ValidationError(f"box_radius {box_radius!r} is too large: 2 * box overflows")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-box_radius, box_radius, size=(n_starts, G.n))
     block = max(1, NEWTON_BLOCK // max(G.n * G.n, 1))

@@ -6,8 +6,17 @@ from itertools import permutations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from oddcoupling import build_graph, hessian, vector_field
-from oddcoupling.defaults import ODE_ATOL, ODE_RTOL, eq_tolerance, rank_tolerance
+from oddcoupling import (
+    ManifoldSample,
+    build_graph,
+    equilibrium_point,
+    hessian,
+    local_dimension,
+    vector_field,
+)
+from oddcoupling.continuation import _edge_normalized
+from oddcoupling.defaults import CONTINUATION_STEP, ODE_ATOL, ODE_RTOL, eq_tolerance, rank_tolerance
+from oddcoupling.equilibria import wrap_to_fundamental
 from oddcoupling.homology import _signed_vector
 
 
@@ -232,3 +241,81 @@ def solve_ivp_oracle(G, f, x0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL):
     return solve_ivp(lambda _t, x: vector_field(G, f, x), (0.0, float(t_end)),
                      np.asarray(x0, dtype=float), method="RK45", rtol=rtol,
                      atol=atol, events=settled)
+
+
+def correct_oracle(G, f, x_pred, tangents, max_iter=30):
+    """The per-row corrector that ``continuation._correct`` replaced: Newton
+    for F(x) = 0 in the slice through x_pred orthogonal to the tangents and
+    to the translations, one Hessian and one lstsq per step. Returns x, or
+    None when the step is not finite, too long, or the iterations run out."""
+    T = np.atleast_2d(tangents)
+    x = x_pred.copy()
+    for _ in range(max_iter):
+        F = vector_field(G, f, x)
+        cons_t = T @ (x - x_pred)
+        cons_d = G.D @ (x - x_pred)
+        scale = 1.0 + float(np.max(np.abs(x)))
+        if (np.linalg.norm(F) <= eq_tolerance(x)
+                and np.max(np.abs(cons_t), initial=0.0) <= 1e-9 * scale
+                and np.max(np.abs(cons_d), initial=0.0) <= 1e-9 * scale):
+            return x
+        A = np.vstack([-hessian(G, f, x), T, G.D])
+        r = np.concatenate([F, cons_t, cons_d])
+        delta, *_ = np.linalg.lstsq(A, -r, rcond=None)
+        if not np.all(np.isfinite(delta)):
+            return None
+        x = x + delta
+        if np.linalg.norm(delta) > 1e3 * scale:
+            return None
+    return None
+
+
+def sample_manifold_oracle(G, f, p0, step=CONTINUATION_STEP, budget=400):
+    """The one-candidate-at-a-time breadth-first search that
+    ``continuation.sample_manifold`` replaced: ``correct_oracle`` and one
+    ``local_dimension`` per new point. Returns a ManifoldSample."""
+    info0 = local_dimension(G, f, p0)
+    d0 = info0.d
+
+    def grid_key(p):
+        x = p.x
+        if f.periodic is not None:
+            x = wrap_to_fundamental(G, x, f.periodic)
+        return tuple(np.round((G.Bt @ x) / step).astype(int))
+
+    points, dims, flags = [p0], [d0], []
+    seen = {grid_key(p0)}
+    frontier = [(p0, info0)]
+    while frontier and len(points) < budget:
+        p, info = frontier.pop(0)
+        basis = info.kernel_basis
+        for j in range(basis.shape[1]):
+            for sign in (1.0, -1.0):
+                if len(points) >= budget:
+                    break
+                t = _edge_normalized(G, sign * basis[:, j])
+                x_new = correct_oracle(G, f, p.x + step * t, basis.T)
+                if x_new is None:
+                    continue
+                p_new = equilibrium_point(G, f, x_new)
+                key = grid_key(p_new)
+                if key in seen:
+                    continue
+                seen.add(key)
+                info_new = local_dimension(G, f, p_new)
+                points.append(p_new)
+                dims.append(info_new.d)
+                if info_new.d != d0:
+                    flags.append(len(points) - 1)
+                else:
+                    frontier.append((p_new, info_new))
+
+    order = sorted(range(len(points)), key=lambda i: tuple(points[i].canonical))
+    return ManifoldSample(
+        points=tuple(points[i] for i in order),
+        local_dim=tuple(dims[i] for i in order),
+        closed=False,
+        singular_flags=tuple(sorted(order.index(i) for i in set(flags))),
+        step=step,
+        stop="point_budget" if len(points) >= budget else "frontier_exhausted",
+    )

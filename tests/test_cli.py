@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oddcoupling
-from oddcoupling.cli import run
+from oddcoupling.cli import load_coupling, load_graph, run, write_csv
 from oddcoupling.jsonio import dumps
 
 
@@ -115,6 +115,55 @@ def test_continue_curve_with_csv(workdir):
     lines = spec_path.read_text().splitlines()
     assert lines[0] == "index,lambda0,lambda1,lambda2"
     assert len(lines) == len(rep["points"]) + 1
+
+
+def _csv_bytes(path, header, rows):
+    write_csv(str(path), header, rows)
+    return path.read_bytes()
+
+
+def test_csv_rows_of_floats_equal_numpy_scalar_rows(tmp_path):
+    # csv writes a float, np.float64 included, as its repr
+    table = np.array([[1e16, 1e-5, -0.0], [0.1, -2.5e-300, 1.0 / 3.0]])
+    old = [[v for v in row] for row in table]
+    assert all(type(v) is np.float64 for row in old for v in row)
+    assert (_csv_bytes(tmp_path / "old.csv", ["a", "b", "c"], old)
+            == _csv_bytes(tmp_path / "new.csv", ["a", "b", "c"], table.tolist()))
+    assert (tmp_path / "new.csv").read_text().splitlines()[1] == "1e+16,1e-05,-0.0"
+
+
+def test_simulate_csv_bytes_equal_numpy_scalar_rows(workdir):
+    from oddcoupling.simulate import integrate
+    x0 = [1e16, -0.0, 1e-5, 0.5]
+    csv_path = workdir / "traj.csv"
+    code = run(["simulate", "--graph", str(workdir / "k4.json"),
+                "--coupling", str(workdir / "sin.json"), "--x0=1e16,-0.0,1e-5,0.5",
+                "--t-end", "1", "--csv", str(csv_path), "--out", str(workdir / "t.json")])
+    assert code == 0
+    G, f = load_graph(str(workdir / "k4.json")), load_coupling(str(workdir / "sin.json"))
+    traj = integrate(G, f, np.array(x0), t_end=1.0)
+    old = [[t] + list(x) + [e] for t, x, e in zip(traj.times, traj.states, traj.energies)]
+    header = ["t", "x0", "x1", "x2", "x3", "energy"]
+    assert csv_path.read_bytes() == _csv_bytes(workdir / "old.csv", header, old)
+    assert csv_path.read_text().splitlines()[1].startswith("0.0,1e+16,-0.0,1e-05,0.5,")
+
+
+def test_continue_spectrum_csv_bytes_equal_numpy_scalar_rows(workdir):
+    from oddcoupling import equilibrium_point, trace_curve
+    from oddcoupling.stability import Spectrum
+    (workdir / "c3.json").write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    spec_path = workdir / "spec.csv"
+    code = run(["continue", "--graph", str(workdir / "c3.json"),
+                "--coupling", str(workdir / "cubic.json"), "--point", "0,1,0",
+                "--max-steps", "40", "--spectrum-csv", str(spec_path),
+                "--out", str(workdir / "m.json")])
+    assert code == 0
+    G, f = load_graph(str(workdir / "c3.json")), load_coupling(str(workdir / "cubic.json"))
+    sample = trace_curve(G, f, equilibrium_point(G, f, [0.0, 1.0, 0.0]), max_steps=40)
+    old = [[i] + list(Spectrum.at(G, f, p.x).values) for i, p in enumerate(sample.points)]
+    header = ["index", "lambda0", "lambda1", "lambda2"]
+    assert spec_path.read_bytes() == _csv_bytes(workdir / "old.csv", header, old)
 
 
 def test_basin_subcommand(workdir):
@@ -370,6 +419,7 @@ C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
      "--cap"),
     (["solve", *C3, "--seed=-1"], 2, "--seed"),
     (["basin", *C3, "--point", "0,0,0", "--seed=-1"], 2, "--seed"),
+    (["solve", *C3, "--box", "1e308"], 2, "2 * box overflows"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)

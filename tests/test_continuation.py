@@ -5,6 +5,7 @@ import pytest
 
 from oddcoupling import (
     Verdict,
+    build_graph,
     classify,
     equilibrium_point,
     local_dimension,
@@ -13,6 +14,14 @@ from oddcoupling import (
     make_sine_series,
     sample_manifold,
     trace_curve,
+)
+from oddcoupling.continuation import (
+    CLOSED,
+    CORRECTOR_FAILED,
+    DIMENSION_JUMP,
+    FRONTIER_EXHAUSTED,
+    POINT_BUDGET,
+    STEP_BUDGET,
 )
 from oddcoupling.corpus import book_family_point, book_graph, complete_graph, cycle_graph
 from oddcoupling.equilibria import edge_space_distance
@@ -60,6 +69,7 @@ def test_trace_cubic_cycle_closed():
     p0 = equilibrium_point(G, CUBIC, np.array([0.0, 1.0, 0.0]))
     sample = trace_curve(G, CUBIC, p0, max_steps=600)
     assert sample.closed
+    assert sample.stop == CLOSED
     assert not sample.singular_flags
     assert all(d == 1 for d in sample.local_dim)
     assert all(p.accepted() for p in sample.points)
@@ -115,8 +125,42 @@ def test_trace_flags_singular_crossing():
     p0 = equilibrium_point(G, f, circle_point(t0))
     sample = trace_curve(G, f, p0, step=2 * step_t, max_steps=400)
     assert sample.singular_flags, "expected a singular flag at the crossing"
+    assert sample.stop == DIMENSION_JUMP
+    assert sample.singular_flags == (len(sample.points) - 1,)
     flagged = sample.points[sample.singular_flags[0]]
     assert abs(flagged.x[1] - flagged.x[0] - math.pi) < 1e-6
+
+
+def test_trace_stops_at_step_budget():
+    G = cycle_graph(3)
+    p0 = equilibrium_point(G, CUBIC, np.array([0.0, 1.0, 0.0]))
+    sample = trace_curve(G, CUBIC, p0, max_steps=3)
+    assert sample.stop == STEP_BUDGET
+    assert len(sample.points) == 4
+    assert not sample.closed and not sample.singular_flags
+
+
+def test_trace_stops_when_corrector_fails():
+    # a step of 5 leaves the corrector's reach on either trial length
+    G = cycle_graph(3)
+    p0 = equilibrium_point(G, CUBIC, np.array([0.0, 1.0, 0.0]))
+    sample = trace_curve(G, CUBIC, p0, step=5.0)
+    assert sample.stop == CORRECTOR_FAILED
+    assert len(sample.points) == 1 and sample.singular_flags == (0,)
+    assert "stop" not in sample.to_dict()
+
+
+def test_sample_manifold_stops_when_frontier_exhausted():
+    # two disjoint copies of K4 under sine: the product of two closed curves
+    # is a compact torus, which a coarse grid covers within the budget
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    G = build_graph(k4 + [(i + 4, j + 4) for i, j in k4], n=8)
+    p0 = equilibrium_point(G, SIN, np.concatenate([circle_point(0.4), circle_point(1.3)]))
+    cloud = sample_manifold(G, SIN, p0, step=1.0, budget=1000)
+    assert cloud.stop == FRONTIER_EXHAUSTED
+    assert len(cloud.points) < 1000
+    assert all(p.accepted() for p in cloud.points)
+    assert "stop" not in cloud.to_dict()
 
 
 def test_trace_requires_manifold():
@@ -134,6 +178,7 @@ def test_sample_manifold_book3():
     assert all(p.accepted() for p in cloud.points)
     assert all(d == 2 for d in cloud.local_dim)
     assert not cloud.closed
+    assert cloud.stop == POINT_BUDGET
 
 
 def test_sample_manifold_requires_surface():
