@@ -10,7 +10,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -108,10 +108,11 @@ def emit(report: dict, out: str | None) -> None:
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """The bytes csv.writer writes for rows of numbers: str of each field,
+    none needing quotes, and "\r\n" after every row, in one write."""
+    lines = [",".join(map(str, row)) for row in [header, *rows]]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def positive_float(text: str) -> float:
@@ -146,7 +147,10 @@ def _add_t_zero(p: argparse.ArgumentParser):
                    help="zero-eigenvalue scale (default %(default)g)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse_args call fills a new
+    namespace, so one run leaves nothing behind for the next."""
     ap = argparse.ArgumentParser(
         prog="ocl",
         description="equilibrium geometry and stability for graph dynamical "

@@ -44,8 +44,11 @@ def vector_field(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     to the single-state call.
     """
     x = np.asarray(x, dtype=float)
-    mv = np.matmul if x.ndim == 1 else _rowwise
-    return -mv(G.B, np.asarray(f(mv(G.Bt, x))))
+    if x.ndim == 1:
+        # the BLAS matrix-vector product of np.matmul, without its ufunc
+        # dispatch: the integrator makes millions of these calls
+        return -G.B.dot(f(G.Bt.dot(x)))
+    return -_rowwise(G.B, np.asarray(f(_rowwise(G.Bt, x))))
 
 
 def energy(G: Graph, f: CouplingFunction, x):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .coupling import CouplingFunction
 from .defaults import (
+    EQ_TOL_SCALE,
     ODE_ATOL,
     ODE_MAX_STEPS,
     ODE_RTOL,
@@ -68,8 +69,9 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     """
     if not t_end > 0:
         raise ValidationError("t_end must be positive")
-    if not atol >= 0:
-        raise ValidationError("atol must be non-negative")
+    for name, tol in (("rtol", rtol), ("atol", atol)):
+        if not (tol >= 0 and math.isfinite(tol)):
+            raise ValidationError(f"{name} must be finite and non-negative")
     if G.n == 0:
         raise ValidationError("the graph has no vertices")
     x0 = np.asarray(x0, dtype=float)
@@ -174,10 +176,11 @@ def _not_finite(t):
     return NumericalError(f"the vector field is not finite at t = {t:.6g}")
 
 
-def _settle_gap(x, fx) -> float:
+def _settle_gap(abs_x, fx) -> float:
     """The settle event: ||F(x)|| minus the equilibrium tolerance, falling
-    through zero as the flow settles."""
-    return math.sqrt(fx.dot(fx)) - eq_tolerance(x)
+    through zero as the flow settles. Takes |x|, which the stepper has at
+    hand; EQ_TOL_SCALE * (1 + max |x|) is eq_tolerance(x), bit for bit."""
+    return math.sqrt(fx.dot(fx)) - EQ_TOL_SCALE * (1.0 + float(abs_x.max(initial=0.0)))
 
 
 def _initial_step(G, f, x0, f0, t_end, rtol, atol):
@@ -213,12 +216,16 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
     if not np.isfinite(fy).all():
         raise _not_finite(0.0)
     h_abs = _initial_step(G, f, x0, fy, t_end, rtol, atol)
-    t, y = 0.0, x0
-    gap = _settle_gap(y, fy)
+    t, y, abs_y = 0.0, x0, np.abs(x0)
+    gap = _settle_gap(abs_y, fy)
     ts, ys = [t], [y]
+    root_n = x0.size ** 0.5
     K = np.empty((7, x0.size))
-    # views of K for the stage sums np.dot(K[:s].T, a[:s]), made once
+    # views of K for the stage sums np.dot(K[:s].T, a[:s]), the solution
+    # update and the error estimate, made once; their .dot methods are
+    # np.dot without its dispatch
     stages = [(K[:s].T, _A[s, :s]) for s in range(1, 6)]
+    KT_head, KT = K[:-1].T, K.T
     attempts = 0
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -237,15 +244,18 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
             h_abs = abs(h)
             K[0] = fy
             for s, (k, a) in enumerate(stages, start=1):
-                K[s] = vector_field(G, f, y + np.dot(k, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+                K[s] = vector_field(G, f, y + k.dot(a) * h)
+            y_new = y + h * KT_head.dot(_B)
             f_new = vector_field(G, f, y_new)
             K[-1] = f_new
             if not np.isfinite(K).all():
                 s = int(np.argmin(np.isfinite(K).all(axis=1)))
                 raise _not_finite(t + _C[s] * h if s < 6 else t + h)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+            # _rms, with the root of the size taken once
+            err = KT.dot(_E) * h / scale
+            error_norm = math.sqrt(err.dot(err)) / root_n
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -259,10 +269,10 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
             rejected = True
 
         t_old, y_old = t, y
-        t, y, fy = t_new, y_new, f_new
-        gap_new = _settle_gap(y, fy)
+        t, y, fy, abs_y = t_new, y_new, f_new, abs_y_new
+        gap_new = _settle_gap(abs_y, fy)
         if gap >= 0 and gap_new <= 0:
-            Q = K.T.dot(_P)
+            Q = KT.dot(_P)
             h = t - t_old
 
             def dense(tau):
@@ -271,7 +281,7 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
 
             def event(tau):
                 x = dense(tau)
-                return _settle_gap(x, vector_field(G, f, x))
+                return _settle_gap(np.abs(x), vector_field(G, f, x))
 
             root = _brentq(event, t_old, t, 4 * _EPS, 4 * _EPS)
             ts.append(root)

@@ -457,3 +457,39 @@ def test_numerical_failure_prints_only_its_message(workdir, monkeypatch, argv):
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
+def test_one_run_leaves_nothing_for_the_next(workdir, monkeypatch):
+    # the parser is built once per process and reused by every run
+    from oddcoupling.cli import build_parser
+    from oddcoupling.defaults import DEFAULT_SEED
+    monkeypatch.chdir(workdir)
+    (workdir / "c3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+
+    def seed_of(argv):
+        assert run(["solve", *C3, "--starts", "5", *argv, "--out", "r.json"]) == 0
+        return json.loads((workdir / "r.json").read_text())["config"]["seed"]
+
+    assert seed_of(["--seed", "5"]) == 5
+    assert seed_of([]) == DEFAULT_SEED
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", *C3, "--starts", "0"])
+    assert exc.value.code == 2
+    assert seed_of([]) == DEFAULT_SEED
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, -2], [np.float64(1e16), -0.0, 5e-324],
+     [np.float64(-0.0), np.float64(5e-324), 1e16], [3, np.float64(0.1), 1.0 / 3.0]],
+    [],
+])
+def test_csv_bytes_equal_csv_writer(tmp_path, rows):
+    import csv
+    header = ["index", "x0", "energy"]
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (_csv_bytes(tmp_path / "own.csv", header, rows)
+            == (tmp_path / "ref.csv").read_bytes())

@@ -89,6 +89,20 @@ def test_matches_solve_ivp_at_each_stop(G, f, x0, t_end, status):
     assert same_run(G, f, x0, t_end).status == status
 
 
+# two components and an isolated vertex, and graphs with no edges, whose
+# field is a signed zero at every vertex
+@pytest.mark.parametrize("G, f, x0", [
+    (build_graph([(0, 1), (1, 2), (2, 0), (4, 3)], n=6), SIN,
+     [0.3, -1.2, 2.0, 0.5, -0.4, 0.7]),
+    (build_graph([(0, 1), (1, 2), (2, 0), (4, 3)], n=6), CUBIC_UP,
+     [1.5, -1.0, 0.25, -2.0, 1.0, 0.0]),
+    (build_graph([], n=1), SIN, [0.4]),
+    (build_graph([], n=3), CUBIC_UP, [1.0, -0.0, 0.5]),
+])
+def test_matches_solve_ivp_on_disconnected_graphs(G, f, x0):
+    same_run(G, f, x0, 50.0)
+
+
 def test_matches_solve_ivp_with_rejected_steps():
     sol = same_run(complete_graph(4), SIN, [0.1, 0.5, -0.3, 0.2], 400.0)
     assert rejected_steps(sol) > 0
@@ -125,6 +139,15 @@ def test_rejects_an_empty_graph_and_a_negative_atol():
         integrate(build_graph([], n=0), SIN, np.zeros(0))
     with pytest.raises(ValidationError):
         integrate(complete_graph(3), SIN, np.zeros(3), atol=-1.0)
+
+
+@pytest.mark.parametrize("rtol, atol", [
+    (math.nan, ODE_ATOL), (ODE_RTOL, math.inf), (math.inf, ODE_ATOL), (-1.0, ODE_ATOL),
+    (ODE_RTOL, math.nan),
+])
+def test_rejects_tolerances_that_are_not_finite_or_negative(rtol, atol):
+    with pytest.raises(ValidationError, match="must be finite and non-negative"):
+        integrate(complete_graph(3), SIN, np.array([0.1, 0.5, -0.3]), rtol=rtol, atol=atol)
 
 
 @st.composite
