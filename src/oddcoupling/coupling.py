@@ -52,6 +52,7 @@ class CouplingFunction:
     periodic: float | None = None
     antiperiod: float | None = None
     finite_fibers: bool = False
+    _flags: CouplingFlags | None = None  # classify's cache
 
     def __call__(self, x):
         raise NotImplementedError
@@ -88,13 +89,14 @@ class OddPolynomial(CouplingFunction):
 
     def __init__(self, coeffs):
         coeffs = [float(c) for c in coeffs]
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValidationError(f"odd polynomial coefficients {coeffs} must be finite")
         while coeffs and coeffs[-1] == 0.0:
             coeffs.pop()
         if not coeffs or all(c == 0.0 for c in coeffs):
             raise AllZeroError("odd polynomial needs at least one nonzero coefficient")
         self.coeffs = tuple(coeffs)
         self.finite_fibers = True
-        self._flags: CouplingFlags | None = None
 
     def _horner(self, coeffs, u):
         if len(coeffs) < 2:
@@ -151,6 +153,8 @@ def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
         a = float(a)
         if k < 1:
             raise ValidationError(f"harmonic index {k} must be a positive integer")
+        if not math.isfinite(a):
+            raise ValidationError(f"amplitude {a!r} of harmonic {k} must be finite")
         if a != 0.0:
             cleaned.append((k, a))
     if not cleaned:
@@ -159,7 +163,13 @@ def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
 
 
 class SineCombination(CouplingFunction):
-    """f(x) = sum_k b_k sin(k x); period 2*pi / gcd of the harmonics."""
+    """f(x) = sum_k b_k sin(k x); period 2*pi / gcd of the harmonics.
+
+    Both sine families evaluate here, from per-term tables made once by
+    their constructors. sin(k x) is sin(k pi x / P) with P = pi.
+    """
+
+    P = math.pi
 
     def __init__(self, terms):
         self.terms = _clean_terms(terms)
@@ -167,43 +177,50 @@ class SineCombination(CouplingFunction):
         g = math.gcd(*ks) if len(ks) > 1 else ks[0]
         self.periodic = 2.0 * math.pi / g
         self.antiperiod = math.pi if all(k % 2 == 1 for k in ks) else None
-        self.finite_fibers = False
-        self._flags: CouplingFlags | None = None
+        # the integer k is the frequency itself: k * pi / pi is not k for all k
+        self._tabulate(ks, [a * k * k for k, a in self.terms])
+
+    def _tabulate(self, ws, curvatures):
+        """Tables (w, a), (w, a*w) and (w, a*w*w) for f, f' and f''; each
+        family rounds its own frequencies and f'' factors."""
+        self._sin = tuple(zip(ws, (a for _, a in self.terms)))
+        self._cos = tuple((w, a * w) for w, a in self._sin)
+        self._d2 = tuple(zip(ws, curvatures))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for k, a in self.terms:
-            out += a * np.sin(k * x)
+        for w, a in self._sin:
+            out += a * np.sin(w * x)
         return out
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for k, a in self.terms:
-            out += a * k * np.cos(k * x)
+        for w, aw in self._cos:
+            out += aw * np.cos(w * x)
         return out
 
     def deriv2(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for k, a in self.terms:
-            out -= a * k * k * np.sin(k * x)
+        for w, c in self._d2:
+            out -= c * np.sin(w * x)
         return out
 
     def primitive(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for k, a in self.terms:
-            out += a * (1.0 - np.cos(k * x)) / k
+        for w, a in self._sin:
+            out += a * (1.0 - np.cos(w * x)) / w
         return out
 
     def scan_resolution(self, a, b):
         kmax = max(k for k, _ in self.terms)
-        return max(256, int(32 * kmax * (b - a) / math.pi) + 32)
+        return max(256, int(32 * kmax * (b - a) / self.P) + 32)
 
     def deriv2_amplitude_bound(self) -> float:
-        return sum(abs(a) * k * k for k, a in self.terms)
+        return sum(abs(c) for _, c in self._d2)
 
     def to_dict(self):
         return {"family": "sine_sum", "terms": {str(k): a for k, a in self.terms}}
@@ -212,12 +229,16 @@ class SineCombination(CouplingFunction):
         return f"SineCombination(terms={dict(self.terms)})"
 
 
-class SineSeries(CouplingFunction):
+class SineSeries(SineCombination):
     """f(x) = sum over odd m of a_m sin(m pi x / P); satisfies f(P+x) = -f(x)."""
 
+    # own __dict__ entries: perfbench's tracer wraps cls.__dict__[meth] per class
+    __call__, deriv, deriv2, primitive = (SineCombination.__call__, SineCombination.deriv,
+                                          SineCombination.deriv2, SineCombination.primitive)
+
     def __init__(self, half_period: float, terms):
-        if not half_period > 0:
-            raise ValidationError("half-period P must be positive")
+        if not (half_period > 0 and math.isfinite(half_period)):
+            raise ValidationError("half-period P must be positive and finite")
         self.P = float(half_period)
         self.terms = _clean_terms(terms)
         for m, _ in self.terms:
@@ -225,47 +246,10 @@ class SineSeries(CouplingFunction):
                 raise ValidationError(f"sine series admits odd harmonics only, got {m}")
         self.periodic = 2.0 * self.P
         self.antiperiod = self.P
-        self.finite_fibers = False
-        self._flags: CouplingFlags | None = None
-
-    def _omega(self, m: int) -> float:
-        return m * math.pi / self.P
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for m, a in self.terms:
-            out += a * np.sin(self._omega(m) * x)
-        return out
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for m, a in self.terms:
-            out += a * self._omega(m) * np.cos(self._omega(m) * x)
-        return out
-
-    def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for m, a in self.terms:
-            out -= a * self._omega(m) ** 2 * np.sin(self._omega(m) * x)
-        return out
-
-    def primitive(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for m, a in self.terms:
-            w = self._omega(m)
-            out += a * (1.0 - np.cos(w * x)) / w
-        return out
-
-    def scan_resolution(self, a, b):
-        mmax = max(m for m, _ in self.terms)
-        return max(256, int(32 * mmax * (b - a) / self.P) + 32)
-
-    def deriv2_amplitude_bound(self) -> float:
-        return sum(abs(a) * self._omega(m) ** 2 for m, a in self.terms)
+        ws = [m * math.pi / self.P for m, _ in self.terms]
+        if not all(0.0 < w * w < math.inf for w in ws):
+            raise ValidationError(f"half-period P = {self.P!r} puts m pi / P out of range")
+        self._tabulate(ws, [a * w ** 2 for w, (_, a) in zip(ws, self.terms)])
 
     def to_dict(self):
         return {"family": "sine_series", "P": self.P,

@@ -67,8 +67,8 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     A vector field that turns non-finite, or a run that exhausts
     ``ODE_MAX_STEPS`` step attempts, raises ``NumericalError``.
     """
-    if not t_end > 0:
-        raise ValidationError("t_end must be positive")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValidationError("t_end must be positive and finite")
     for name, tol in (("rtol", rtol), ("atol", atol)):
         if not (tol >= 0 and math.isfinite(tol)):
             raise ValidationError(f"{name} must be finite and non-negative")
@@ -189,6 +189,9 @@ def _initial_step(G, f, x0, f0, t_end, rtol, atol):
     scale = atol + np.abs(x0) * rtol
     d0 = _rms(x0 / scale)
     d1 = _rms(f0 / scale)
+    if not (math.isfinite(d0) and math.isfinite(d1)):
+        raise NumericalError("the first step cannot be sized: x0 or F(x0) over the "
+                             "error scale atol + rtol |x0| is not finite")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
     f1 = vector_field(G, f, x0 + h0 * f0)

@@ -420,12 +420,31 @@ C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
     (["solve", *C3, "--seed=-1"], 2, "--seed"),
     (["basin", *C3, "--point", "0,0,0", "--seed=-1"], 2, "--seed"),
     (["solve", *C3, "--box", "1e308"], 2, "2 * box overflows"),
+    # non-finite coupling parameters (P = inf makes every frequency m pi / P zero)
+    (["solve", "--graph", "c3.json", "--coupling", "p_inf.json", "--starts", "20"], 2,
+     "half-period P must be positive and finite"),
+    (["simulate", "--graph", "c3.json", "--coupling", "p_inf.json", "--x0=0.1,0,0"], 2,
+     "half-period P must be positive and finite"),
+    (["solve", "--graph", "c3.json", "--coupling", "p_tiny.json"], 2,
+     "puts m pi / P out of range"),
+    (["solve", "--graph", "c3.json", "--coupling", "amp_nan.json"], 2,
+     "amplitude nan of harmonic 1 must be finite"),
+    (["solve", "--graph", "c3.json", "--coupling", "coeff_inf.json"], 2,
+     "coefficients [1.0, inf] must be finite"),
+    # |F(x0)| over the error scale overflows, and the first step cannot be sized
+    (["simulate", *C3, "--x0=1e52,0,0"], 3, "the first step cannot be sized"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)
     (workdir / "c3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
     (workdir / "huge.json").write_text(json.dumps(
         {"family": "odd_poly", "coeffs": [1e308, 1e308]}))
+    for name, coupling in [
+            ("p_inf.json", {"family": "sine_series", "P": math.inf, "terms": {"1": 1.0}}),
+            ("p_tiny.json", {"family": "sine_series", "P": 1e-320, "terms": {"1": 1.0}}),
+            ("amp_nan.json", {"family": "sine_sum", "terms": {"1": math.nan}}),
+            ("coeff_inf.json", {"family": "odd_poly", "coeffs": [1.0, math.inf]})]:
+        (workdir / name).write_text(json.dumps(coupling))
     if argv[0] == "simulate":
         # in a subprocess, so that an integrator that hangs fails the test
         # instead of stalling the suite

@@ -1,5 +1,10 @@
+import importlib.util
 import math
+from functools import partial
+from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -23,6 +28,7 @@ ALL_FAMILIES = [
     make_sine_series(math.pi, {1: 1.0}),
     make_sine_series(1.7, {1: 0.8, 3: -0.3}),
 ]
+EVALUATIONS = ("__call__", "deriv", "deriv2", "primitive")
 
 
 def test_polynomial_examples():
@@ -56,6 +62,9 @@ def test_sine_series_validation():
         make_sine_series(math.pi, {2: 1.0})
     with pytest.raises(ValidationError):
         make_sine_series(-1.0, {1: 1.0})
+    for P in (math.inf, math.nan, 1e-320):
+        with pytest.raises(ValidationError):
+            make_sine_series(P, {1: 1.0})
 
 
 def test_oddness_all_families():
@@ -154,8 +163,101 @@ def test_classify_flags():
 
 
 def test_serialization_round_trip():
+    xs = np.linspace(-3, 3, 20)
     for f in ALL_FAMILIES:
         g = coupling_from_dict(f.to_dict())
-        xs = np.linspace(-3, 3, 20)
-        assert np.allclose(np.asarray(f(xs)), np.asarray(g(xs)))
+        assert g.to_dict() == f.to_dict()
+        assert repr(g) == repr(f)
         assert g.periodic == f.periodic
+        assert g.antiperiod == f.antiperiod
+        for name in EVALUATIONS:
+            assert np.array_equal(getattr(f, name)(xs), getattr(g, name)(xs))
+
+
+def old_sine_sum(terms, x):
+    """f, f', f'' and the primitive of sum_k a sin(k x), and the bound on
+    |f''|, as the sine_sum family computed them on its own."""
+    out = [np.zeros_like(x) for _ in range(4)]
+    for k, a in terms:
+        out[0] += a * np.sin(k * x)
+        out[1] += a * k * np.cos(k * x)
+        out[2] -= a * k * k * np.sin(k * x)
+        out[3] += a * (1.0 - np.cos(k * x)) / k
+    return out, sum(abs(a) * k * k for k, a in terms)
+
+
+def old_sine_series(P, terms, x):
+    """The same for sum_m a sin(m pi x / P), as the sine_series family
+    computed them on its own, with its frequency m pi / P."""
+    out = [np.zeros_like(x) for _ in range(4)]
+    for m, a in terms:
+        w = m * math.pi / P
+        out[0] += a * np.sin(w * x)
+        out[1] += a * w * np.cos(w * x)
+        out[2] -= a * w ** 2 * np.sin(w * x)
+        out[3] += a * (1.0 - np.cos(w * x)) / w
+    return out, sum(abs(a) * (m * math.pi / P) ** 2 for m, a in terms)
+
+
+def same_bits(new, old):
+    # bytes tell -0.0 from 0.0, which np.array_equal does not
+    assert np.shape(new) == np.shape(old)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+amplitudes = st.floats(-1e3, 1e3).filter(lambda a: a != 0.0)
+points = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+                   st.floats(-50.0, 50.0), st.floats(-1e12, 1e12))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    sum_terms=st.dictionaries(st.integers(1, 40), amplitudes, min_size=1, max_size=6),
+    series_terms=st.dictionaries(st.integers(0, 20).map(lambda j: 2 * j + 1), amplitudes,
+                                 min_size=1, max_size=6),
+    P=st.one_of(st.just(math.pi), st.floats(1e-3, 1e3)),
+    xs=st.lists(points, min_size=1, max_size=8),
+    interval=st.tuples(st.floats(-20.0, 0.0), st.floats(0.1, 20.0)),
+)
+def test_sine_families_keep_their_old_bits(sum_terms, series_terms, P, xs, interval):
+    a, b = interval
+    for f, old, kmax, unit in [
+            (make_sine_combination(sum_terms),
+             partial(old_sine_sum, sorted(sum_terms.items())), max(sum_terms), math.pi),
+            (make_sine_series(P, series_terms),
+             partial(old_sine_series, P, sorted(series_terms.items())), max(series_terms), P)]:
+        for x in (np.array(xs), np.array(xs[0])):
+            values, bound = old(x)
+            for name, want in zip(EVALUATIONS, values):
+                same_bits(getattr(f, name)(x), want)
+        assert f.deriv2_amplitude_bound() == bound
+        assert f.scan_resolution(a, b) == max(256, int(32 * kmax * (b - a) / unit) + 32)
+
+
+def test_tracer_counts_each_sine_call_once():
+    # perfbench's tracer wraps each coupling class's own __dict__ entry, so
+    # SineSeries must hold the shared methods itself to be counted
+    import oddcoupling.cli  # noqa: F401  -- the tracer wraps cli functions too
+    from oddcoupling import coupling
+
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    classes = [getattr(coupling, name) for name in tracer_mod.COUPLING_CLASSES]
+    originals = {(cls, m): cls.__dict__[m] for cls in classes
+                 for m in tracer_mod.COUPLING_METHODS}
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for f in (make_sine_combination({1: 1.0, 3: -0.5}),
+                  make_sine_series(1.7, {1: 0.8, 3: -0.3})):
+            for name in tracer_mod.COUPLING_METHODS:
+                before = tracer.calls["coupling"]
+                getattr(f, name)(np.linspace(-1.0, 1.0, 5))
+                assert tracer.calls["coupling"] == before + 1
+    finally:
+        tracer.uninstall()
+    for (cls, m), orig in originals.items():
+        assert cls.__dict__[m] is orig

@@ -150,6 +150,20 @@ def test_rejects_tolerances_that_are_not_finite_or_negative(rtol, atol):
         integrate(complete_graph(3), SIN, np.array([0.1, 0.5, -0.3]), rtol=rtol, atol=atol)
 
 
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0])
+def test_rejects_a_t_end_that_is_not_positive_and_finite(t_end):
+    # an infinite t_end would spend the whole step budget before failing
+    with pytest.raises(ValidationError, match="t_end must be positive and finite"):
+        integrate(complete_graph(3), SIN, np.array([0.1, 0.5, -0.3]), t_end=t_end)
+
+
+def test_a_first_step_that_cannot_be_sized_ends_the_run():
+    # atol = 0 and a zero coordinate put 0 / 0 into the starting-step norm
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(NumericalError, match="the first step cannot be sized"):
+        integrate(complete_graph(3), SIN, np.array([0.0, 0.5, -0.3]), atol=0.0)
+
+
 @st.composite
 def brackets(draw):
     """A bracket [a, b] and a function that changes sign in it: a cubic
