@@ -9,7 +9,6 @@ from .coupling import (
     OddPolynomial,
     SineCombination,
     SineSeries,
-    classify as classify_coupling,
     coupling_from_dict,
     make_polynomial,
     make_sine_combination,

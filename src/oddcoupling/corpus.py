@@ -18,7 +18,7 @@ import numpy as np
 
 from . import continuation, coverings, equilibria, homology, stability
 from .coupling import CouplingFunction, make_polynomial, make_sine_combination, make_sine_series
-from .defaults import DEFAULT_SEED, eq_tolerance
+from .defaults import DEFAULT_SEED
 from .errors import UnknownExampleError
 from .graphs import Graph, build_graph
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +44,17 @@ class ZeroSet:
 class CouplingFunction:
     """Base class; subclasses provide exact eval / deriv / primitive.
 
-    Derived flags:
-      periodic      -- period, or None
-      antiperiod    -- P with f(P + x) = -f(x), or None
-      finite_fibers -- every value has finitely many preimages
+    Derived flags, the properties the equilibrium theory conditions on:
+      periodic          -- period, or None
+      antiperiod        -- P with f(P + x) = -f(x), or None
+      finite_fibers     -- every value has finitely many preimages
+      increasing        -- f' >= 0 with isolated zeros (global convergence)
+      sign_on_positives -- SIGN_NONNEG, SIGN_NONPOS or SIGN_MIXED on (0, inf)
     """
 
     periodic: float | None = None
     antiperiod: float | None = None
     finite_fibers: bool = False
-    _flags: CouplingFlags | None = None  # classify's cache
 
     def __call__(self, x):
         raise NotImplementedError
@@ -72,20 +74,35 @@ class CouplingFunction:
         """Suggested grid size for root isolation on [a, b]."""
         raise NotImplementedError
 
-    @property
-    def increasing(self) -> bool:
-        return classify(self).increasing
+    def _positive_breaks(self) -> list[float]:
+        """The positive roots of f in increasing order, then a point past
+        the last of them beyond which f keeps its sign."""
+        raise NotImplementedError
 
-    @property
+    @cached_property
     def sign_on_positives(self) -> str:
-        return classify(self).sign_on_positives
+        # f keeps its sign between consecutive breaks: probe each midpoint
+        pts = [0.0, *self._positive_breaks()]
+        vals = (float(self(0.5 * (a + b))) for a, b in zip(pts, pts[1:]))
+        signs = {np.sign(v) for v in vals if abs(v) > 1e-13}
+        if signs <= {1.0}:
+            return SIGN_NONNEG
+        if signs <= {-1.0}:
+            return SIGN_NONPOS
+        return SIGN_MIXED
 
     def to_dict(self) -> dict:
         raise NotImplementedError
 
 
 class OddPolynomial(CouplingFunction):
-    """f(x) = sum_k c_k x^(2k+1), stored by the odd-power coefficients c_k."""
+    """f(x) = sum_k c_k x^(2k+1), stored by the odd-power coefficients c_k.
+
+    The coefficients of f', f'' / x and the primitive / x^2, each a
+    polynomial in x^2, are tabulated once by the constructor.
+    """
+
+    finite_fibers = True
 
     def __init__(self, coeffs):
         coeffs = [float(c) for c in coeffs]
@@ -96,41 +113,30 @@ class OddPolynomial(CouplingFunction):
         if not coeffs or all(c == 0.0 for c in coeffs):
             raise AllZeroError("odd polynomial needs at least one nonzero coefficient")
         self.coeffs = tuple(coeffs)
-        self.finite_fibers = True
-
-    def _horner(self, coeffs, u):
-        if len(coeffs) < 2:
-            return np.full_like(u, coeffs[0] if coeffs else 0.0)
-        acc = coeffs[-1] * u + coeffs[-2]
-        for c in reversed(coeffs[:-2]):
-            acc = acc * u + c
-        return acc
+        self._d = tuple((2 * k + 1) * c for k, c in enumerate(coeffs))
+        self._d2 = tuple((2 * k + 1) * (2 * k) * c for k, c in enumerate(coeffs))[1:]
+        self._p = tuple(c / (2 * k + 2) for k, c in enumerate(coeffs))
+        for k, derived in enumerate(zip(self._d, (0.0, *self._d2), self._p)):
+            if not all(map(math.isfinite, derived)):
+                raise ValidationError(f"odd_poly coefficient {coeffs[k]!r} of x^{2 * k + 1} "
+                                      "overflows f' or f''")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return x * self._horner(self.coeffs, x * x)
+        return x * _horner(self.coeffs, x * x)
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
-        d = [(2 * k + 1) * c for k, c in enumerate(self.coeffs)]
-        return self._horner(d, x * x)
+        return _horner(self._d, x * x)
 
     def deriv2(self, x):
         x = np.asarray(x, dtype=float)
-        d2 = [(2 * k + 1) * (2 * k) * c for k, c in enumerate(self.coeffs)][1:]
-        return x * self._horner(d2, x * x)
+        return x * _horner(self._d2, x * x)
 
     def primitive(self, x):
         x = np.asarray(x, dtype=float)
         u = x * x
-        p = [c / (2 * k + 2) for k, c in enumerate(self.coeffs)]
-        return u * self._horner(p, u)
-
-    def full_coefficients(self) -> np.ndarray:
-        """Dense coefficient array [a_0, a_1, ...] of f, lowest degree first."""
-        full = np.zeros(2 * len(self.coeffs))
-        full[1::2] = self.coeffs
-        return full
+        return u * _horner(self._p, u)
 
     def cauchy_root_bound(self) -> float:
         lead = self.coeffs[-1]
@@ -139,11 +145,45 @@ class OddPolynomial(CouplingFunction):
     def scan_resolution(self, a, b):
         return max(256, 64 * (2 * len(self.coeffs) + 1))
 
+    @cached_property
+    def increasing(self) -> bool:
+        # increasing iff f' >= 0 everywhere with isolated zeros: sample f'
+        # strictly between consecutive real roots of f' and beyond the extremes
+        roots = _real_roots(self._d, 0)
+        lo = roots.min() - 1.0 if roots.size else -1.0
+        hi = roots.max() + 1.0 if roots.size else 1.0
+        probes = [lo, hi] + [0.5 * (roots[i] + roots[i + 1]) for i in range(len(roots) - 1)]
+        vals = [float(self.deriv(x)) for x in probes]
+        return min(vals) > -1e-13 and max(vals) > 0.0
+
+    def _positive_breaks(self):
+        # no root lies past the largest one plus the Cauchy bound
+        roots = sorted({r for r in _real_roots(self.coeffs, 1) if r > 1e-12})
+        return roots + [(roots[-1] if roots else 0.0) + 1.0 + self.cauchy_root_bound()]
+
     def to_dict(self):
         return {"family": "odd_poly", "coeffs": list(self.coeffs)}
 
     def __repr__(self):
         return f"OddPolynomial(coeffs={self.coeffs})"
+
+
+def _horner(coeffs, u):
+    """sum_k coeffs[k] u^k; zeros like u when there are no coefficients."""
+    if len(coeffs) < 2:
+        return np.full_like(u, coeffs[0] if coeffs else 0.0)
+    acc = coeffs[-1] * u + coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        acc = acc * u + c
+    return acc
+
+
+def _real_roots(coeffs, first: int) -> np.ndarray:
+    """Sorted real roots of sum_k coeffs[k] x^(first + 2k), first 0 or 1."""
+    full = np.zeros(first + 2 * len(coeffs) - 1)
+    full[first::2] = coeffs
+    roots = np.polynomial.polynomial.polyroots(full)
+    return np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
 
 
 def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
@@ -170,6 +210,7 @@ class SineCombination(CouplingFunction):
     """
 
     P = math.pi
+    family = "sine_sum"
 
     def __init__(self, terms):
         self.terms = _clean_terms(terms)
@@ -186,6 +227,10 @@ class SineCombination(CouplingFunction):
         self._sin = tuple(zip(ws, (a for _, a in self.terms)))
         self._cos = tuple((w, a * w) for w, a in self._sin)
         self._d2 = tuple(zip(ws, curvatures))
+        for (k, a), (_, aw), (_, c) in zip(self.terms, self._cos, self._d2):
+            if not (math.isfinite(aw) and math.isfinite(c)):
+                raise ValidationError(f"{self.family} amplitude {a!r} of harmonic {k} "
+                                      "overflows f' or f''")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -222,8 +267,31 @@ class SineCombination(CouplingFunction):
     def deriv2_amplitude_bound(self) -> float:
         return sum(abs(c) for _, c in self._d2)
 
+    @cached_property
+    def increasing(self) -> bool:
+        # certified grid minimisation of f' over one period; the exact amplitude
+        # bound on |f''| controls the variation between grid points. A nonconstant
+        # periodic f has mean-zero f', so its minimum is strictly negative and the
+        # refinement loop terminates on the negative branch.
+        bound2 = self.deriv2_amplitude_bound()
+        xs = np.linspace(0.0, self.periodic, 4097)
+        h = xs[1] - xs[0]
+        for _ in range(12):
+            m = float(np.min(np.asarray(self.deriv(xs))))
+            if m < -1e-13:
+                return False
+            if m - bound2 * h * h / 8.0 > 0.0:
+                return True
+            h *= 0.5
+            xs = np.linspace(0.0, self.periodic, 2 * (xs.size - 1) + 1)
+        return False
+
+    def _positive_breaks(self):
+        # one period holds every sign f takes
+        return zeros_in(self, (1e-9, self.periodic - 1e-9)).values() + [self.periodic]
+
     def to_dict(self):
-        return {"family": "sine_sum", "terms": {str(k): a for k, a in self.terms}}
+        return {"family": self.family, "terms": {str(k): a for k, a in self.terms}}
 
     def __repr__(self):
         return f"SineCombination(terms={dict(self.terms)})"
@@ -235,6 +303,7 @@ class SineSeries(SineCombination):
     # own __dict__ entries: perfbench's tracer wraps cls.__dict__[meth] per class
     __call__, deriv, deriv2, primitive = (SineCombination.__call__, SineCombination.deriv,
                                           SineCombination.deriv2, SineCombination.primitive)
+    family = "sine_series"
 
     def __init__(self, half_period: float, terms):
         if not (half_period > 0 and math.isfinite(half_period)):
@@ -252,7 +321,7 @@ class SineSeries(SineCombination):
         self._tabulate(ws, [a * w ** 2 for w, (_, a) in zip(ws, self.terms)])
 
     def to_dict(self):
-        return {"family": "sine_series", "P": self.P,
+        return {"family": self.family, "P": self.P,
                 "terms": {str(m): a for m, a in self.terms}}
 
     def __repr__(self):
@@ -353,99 +422,3 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
         right = float(f(min(r + delta, b + delta)))
         roots.append(Root(value=r, sign_change=(left * right < 0)))
     return ZeroSet(interval=(a, b), roots=tuple(roots))
-
-
-@dataclass(frozen=True)
-class CouplingFlags:
-    periodic: float | None
-    antiperiod: float | None
-    finite_fibers: bool
-    increasing: bool
-    sign_on_positives: str
-
-
-def _poly_real_roots(full_coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a dense-coefficient polynomial (lowest degree first)."""
-    coeffs = np.trim_zeros(full_coeffs, "b")
-    if coeffs.size <= 1:
-        return np.array([])
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
-    return np.sort(real)
-
-
-def _poly_increasing(f: OddPolynomial) -> bool:
-    # increasing iff f' >= 0 everywhere with isolated zeros: sample f'
-    # strictly between consecutive real roots of f' and beyond the extremes
-    d = np.zeros(2 * len(f.coeffs) - 1)
-    d[0::2] = [(2 * k + 1) * c for k, c in enumerate(f.coeffs)]
-    roots = _poly_real_roots(d)
-    lo = roots.min() - 1.0 if roots.size else -1.0
-    hi = roots.max() + 1.0 if roots.size else 1.0
-    probes = [lo, hi] + [0.5 * (roots[i] + roots[i + 1]) for i in range(len(roots) - 1)]
-    vals = [float(f.deriv(x)) for x in probes]
-    return min(vals) > -1e-13 and max(vals) > 0.0
-
-
-def _periodic_increasing(f: CouplingFunction) -> bool:
-    # certified grid minimisation of f' over one period; the exact amplitude
-    # bound on |f''| controls the variation between grid points. A nonconstant
-    # periodic f has mean-zero f', so its minimum is strictly negative and the
-    # refinement loop terminates on the negative branch.
-    period = f.periodic
-    assert period is not None
-    bound2 = f.deriv2_amplitude_bound()
-    xs = np.linspace(0.0, period, 4097)
-    h = xs[1] - xs[0]
-    for _ in range(12):
-        m = float(np.min(np.asarray(f.deriv(xs))))
-        if m < -1e-13:
-            return False
-        if m - bound2 * h * h / 8.0 > 0.0:
-            return True
-        h *= 0.5
-        xs = np.linspace(0.0, period, 2 * (xs.size - 1) + 1)
-    return False
-
-
-def _sign_from_probes(f, probes) -> str:
-    signs = {np.sign(v) for v in (float(f(x)) for x in probes) if abs(v) > 1e-13}
-    if signs <= {1.0}:
-        return SIGN_NONNEG
-    if signs <= {-1.0}:
-        return SIGN_NONPOS
-    return SIGN_MIXED
-
-
-def classify(f: CouplingFunction) -> CouplingFlags:
-    """Derive the property flags the equilibrium theory conditions on."""
-    cached = getattr(f, "_flags", None)
-    if cached is not None:
-        return cached
-
-    if isinstance(f, OddPolynomial):
-        increasing = _poly_increasing(f)
-        pos_roots = [r for r in _poly_real_roots(f.full_coefficients()) if r > 1e-12]
-        hi = (max(pos_roots) if pos_roots else 0.0) + 1.0 + f.cauchy_root_bound()
-        grid = sorted(set(pos_roots) | {hi})
-        probes = [0.5 * min(grid)] if grid else []
-        probes += [0.5 * (grid[i] + grid[i + 1]) for i in range(len(grid) - 1)]
-        probes.append(hi)
-        sign = _sign_from_probes(f, probes)
-    else:
-        increasing = _periodic_increasing(f)
-        period = f.periodic
-        zero_set = zeros_in(f, (1e-9, period - 1e-9))
-        pts = [0.0] + zero_set.values() + [period]
-        probes = [0.5 * (pts[i] + pts[i + 1]) for i in range(len(pts) - 1)]
-        sign = _sign_from_probes(f, probes)
-
-    flags = CouplingFlags(
-        periodic=f.periodic,
-        antiperiod=f.antiperiod,
-        finite_fibers=f.finite_fibers,
-        increasing=increasing,
-        sign_on_positives=sign,
-    )
-    f._flags = flags
-    return flags

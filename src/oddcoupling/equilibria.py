@@ -23,7 +23,7 @@ from .defaults import (
     eq_tolerance,
     rank_tolerance,
 )
-from .errors import NoConvergenceError, NotARootError, ValidationError
+from .errors import NoConvergenceError, NotARootError, NumericalError, ValidationError
 from .graphs import Graph
 
 
@@ -67,11 +67,15 @@ def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     minus the Jacobian of the vector field.
 
     A stack ``x`` of shape (k, n) gives the (k, n, n) stack of Hessians, each
-    equal bit for bit to the single-state call.
+    equal bit for bit to the single-state call. Raises NumericalError when
+    an entry is not finite: LAPACK may never return on an infinite matrix.
     """
     x = np.asarray(x, dtype=float)
     mv = np.matmul if x.ndim == 1 else _rowwise
-    return (G.B * np.asarray(f.deriv(mv(G.Bt, x)))[..., None, :]) @ G.Bt
+    H = (G.B * np.asarray(f.deriv(mv(G.Bt, x)))[..., None, :]) @ G.Bt
+    if not np.isfinite(H).all():
+        raise NumericalError("the energy Hessian is not finite: f' or its vertex sums overflow")
+    return H
 
 
 def canonical_form(G: Graph, x) -> np.ndarray:
@@ -285,11 +289,17 @@ def multistart_atlas(G: Graph, f: CouplingFunction, n_starts: int, seed: int,
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-box_radius, box_radius, size=(n_starts, G.n))
     block = max(1, NEWTON_BLOCK // max(G.n * G.n, 1))
-    converged = []
+    converged, stops = [], []
     for lo in range(0, n_starts, block):
         X, res, stop = newton_batch(G, f, starts[lo:lo + block], max_iter)
+        stops.append(stop)
         converged += [_point(G, x, float(r))
                       for x, r, why in zip(X, res, stop) if why == CONVERGED]
+    if not converged:  # x = 0 is an equilibrium of every odd coupling
+        stop = np.concatenate(stops)
+        raise NumericalError(f"0 of {n_starts} starts converged: "
+                             f"{np.count_nonzero(stop == STALLED)} stalled, "
+                             f"{np.count_nonzero(stop == CAPPED)} capped")
     converged.sort(key=lambda p: (p.residual, tuple(p.canonical)))
     kept: list[EquilibriumPoint] = []
     kept_y = np.empty((len(converged), G.m))

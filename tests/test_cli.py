@@ -401,12 +401,34 @@ def test_module_entry_point():
 C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
 
 
+def write_extreme_inputs(workdir):
+    """Graphs and couplings at the edge of the float range."""
+    for name, data in [
+            ("c3.json", {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}),
+            ("star.json", {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}),
+            ("huge.json", {"family": "odd_poly", "coeffs": [1e308, 1e300]}),
+            ("overflow.json", {"family": "odd_poly", "coeffs": [1e308, 1e308]}),
+            ("coeff_d2.json", {"family": "odd_poly", "coeffs": [1.0, 5e307]}),
+            ("steep.json", {"family": "odd_poly", "coeffs": [1.0, 1e306]}),
+            ("amp_d1.json", {"family": "sine_sum", "terms": {"3": 1e308}}),
+            ("amp_d2.json", {"family": "sine_sum", "terms": {"3": 5e307}}),
+            ("spike.json", {"family": "sine_sum", "terms": {"1": 1e308}}),
+            ("series_d2.json", {"family": "sine_series", "P": 1e-150, "terms": {"1": 1e10}}),
+            ("p_inf.json", {"family": "sine_series", "P": math.inf, "terms": {"1": 1.0}}),
+            ("p_tiny.json", {"family": "sine_series", "P": 1e-320, "terms": {"1": 1.0}}),
+            ("amp_nan.json", {"family": "sine_sum", "terms": {"1": math.nan}}),
+            ("coeff_inf.json", {"family": "odd_poly", "coeffs": [1.0, math.inf]})]:
+        (workdir / name).write_text(json.dumps(data))
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["simulate", *C3, "--x0=nan,0,0"], 2, "x0 must be finite"),
     (["simulate", *C3, "--x0=1e200,0,0", "--t-end", "1"], 3, "not finite"),
     (["solve", *C3, "--box", "inf"], 2, "must be positive and finite"),
-    (["continue", *C3, "--point=0,1,0", "--step", "1e300"], 3, "did not converge"),
-    (["solve", "--graph", "c3.json", "--coupling", "huge.json"], 3, "did not converge"),
+    (["continue", *C3, "--point=0,1,0", "--step", "1e300"], 3,
+     "the energy Hessian is not finite"),
+    (["solve", "--graph", "c3.json", "--coupling", "huge.json"], 3,
+     "the energy Hessian is not finite"),
     (["solve", *C3, "--starts", "0"], 2, "--starts"),
     (["solve", *C3, "--max-iter", "-1"], 2, "--max-iter"),
     (["basin", *C3, "--point", "0,0,0", "--trials", "-1"], 2, "--trials"),
@@ -433,18 +455,23 @@ C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
      "coefficients [1.0, inf] must be finite"),
     # |F(x0)| over the error scale overflows, and the first step cannot be sized
     (["simulate", *C3, "--x0=1e52,0,0"], 3, "the first step cannot be sized"),
+    # finite parameters whose f' or f'' coefficients overflow
+    (["solve", "--graph", "c3.json", "--coupling", "overflow.json"], 2,
+     "odd_poly coefficient 1e+308 of x^3 overflows f' or f''"),
+    (["solve", "--graph", "c3.json", "--coupling", "amp_d1.json"], 2,
+     "sine_sum amplitude 1e+308 of harmonic 3 overflows f' or f''"),
+    (["solve", "--graph", "c3.json", "--coupling", "series_d2.json"], 2,
+     "sine_series amplitude 10000000000.0 of harmonic 1 overflows f' or f''"),
+    # x = 0 is an equilibrium of every odd coupling, yet no start reaches it
+    (["solve", "--graph", "c3.json", "--coupling", "steep.json", "--starts", "50",
+      "--box", "0.5"], 3, "0 of 50 starts converged: 0 stalled, 50 capped"),
+    # f' is finite, but the centre's Hessian entry sums three of them to inf
+    (["stability", "--graph", "star.json", "--coupling", "spike.json", "--point", "0,0,0,0"],
+     3, "the energy Hessian is not finite"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)
-    (workdir / "c3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
-    (workdir / "huge.json").write_text(json.dumps(
-        {"family": "odd_poly", "coeffs": [1e308, 1e308]}))
-    for name, coupling in [
-            ("p_inf.json", {"family": "sine_series", "P": math.inf, "terms": {"1": 1.0}}),
-            ("p_tiny.json", {"family": "sine_series", "P": 1e-320, "terms": {"1": 1.0}}),
-            ("amp_nan.json", {"family": "sine_sum", "terms": {"1": math.nan}}),
-            ("coeff_inf.json", {"family": "odd_poly", "coeffs": [1.0, math.inf]})]:
-        (workdir / name).write_text(json.dumps(coupling))
+    write_extreme_inputs(workdir)
     if argv[0] == "simulate":
         # in a subprocess, so that an integrator that hangs fails the test
         # instead of stalling the suite
@@ -469,13 +496,39 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
 def test_numerical_failure_prints_only_its_message(workdir, monkeypatch, argv):
     # numpy's overflow warnings must not reach stderr ahead of the message
     monkeypatch.chdir(workdir)
-    (workdir / "c3.json").write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
-    (workdir / "huge.json").write_text(json.dumps(
-        {"family": "odd_poly", "coeffs": [1e308, 1e308]}))
+    write_extreme_inputs(workdir)
     proc = run_module(argv, timeout=20)
     assert proc.returncode == 3
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # 3 c and a * k are finite, 6 c and (a * k) * k are not; Newton's SVD of
+    # the overflowed Hessians never returned
+    (["solve", "--graph", "c3.json", "--coupling", "coeff_d2.json"], 2,
+     "odd_poly coefficient 5e+307 of x^3 overflows f' or f''"),
+    (["solve", "--graph", "c3.json", "--coupling", "amp_d2.json", "--starts", "50",
+      "--box", "0.5"], 2, "sine_sum amplitude 5e+307 of harmonic 3 overflows f' or f''"),
+    (["solve", "--graph", "star.json", "--coupling", "spike.json", "--starts", "5",
+      "--box", "0.3"], 3, "the energy Hessian is not finite"),
+])
+def test_no_infinite_matrix_reaches_lapack(workdir, monkeypatch, argv, code, message):
+    # LAPACK's SVD may never return on a matrix holding inf, so each run is a
+    # subprocess whose timeout fails the test instead of stalling the suite
+    monkeypatch.chdir(workdir)
+    write_extreme_inputs(workdir)
+    if "spike.json" in argv:
+        # the Hessians of such starts hold inf and no NaN, the kind SVD hangs on
+        G, f = load_graph("star.json"), load_coupling("spike.json")
+        x = np.random.default_rng(0).uniform(-0.3, 0.3, size=(5, G.n))
+        with np.errstate(over="ignore"):
+            H = (G.B * f.deriv(x @ G.B)[:, None, :]) @ G.Bt
+        assert np.isinf(H).any() and not np.isnan(H).any()
+    proc = run_module(argv, timeout=20)
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and message in lines[0]
 
 
 def test_one_run_leaves_nothing_for_the_next(workdir, monkeypatch):

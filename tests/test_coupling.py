@@ -10,7 +10,6 @@ import pytest
 from scipy.integrate import quad
 
 from oddcoupling import (
-    classify_coupling,
     coupling_from_dict,
     make_polynomial,
     make_sine_combination,
@@ -38,6 +37,9 @@ def test_polynomial_examples():
     assert float(f.deriv(0.0)) == -1.0
     lin = make_polynomial([1.0])
     assert lin.increasing
+    # f'' of a linear f is x * 0, which is -0.0 at negative x
+    assert np.signbit(lin.deriv2(np.array([-1.0, -0.0, 0.0, 1.0]))).tolist() == [
+        True, True, False, False]
     with pytest.raises(AllZeroError):
         make_polynomial([])
     with pytest.raises(AllZeroError):
@@ -150,14 +152,14 @@ def test_zeros_tangential():
 
 
 def test_classify_flags():
-    assert classify_coupling(make_polynomial([1.0, 1.0])).increasing          # x + x^3
-    cubic = classify_coupling(make_polynomial([0.0, 1.0]))                    # x^3
+    assert make_polynomial([1.0, 1.0]).increasing                             # x + x^3
+    cubic = make_polynomial([0.0, 1.0])                                       # x^3
     assert cubic.increasing and cubic.sign_on_positives == SIGN_NONNEG
-    down = classify_coupling(make_polynomial([0.0, -1.0]))                    # -x^3
+    down = make_polynomial([0.0, -1.0])                                       # -x^3
     assert down.sign_on_positives == SIGN_NONPOS and not down.increasing
-    mixed = classify_coupling(make_polynomial([-1.0, 1.0]))                   # x^3 - x
+    mixed = make_polynomial([-1.0, 1.0])                                      # x^3 - x
     assert mixed.sign_on_positives == SIGN_MIXED and not mixed.increasing
-    sine = classify_coupling(make_sine_combination({1: 1.0}))
+    sine = make_sine_combination({1: 1.0})
     assert sine.sign_on_positives == SIGN_MIXED and not sine.increasing
     assert sine.periodic == pytest.approx(2 * math.pi)
 
@@ -199,6 +201,24 @@ def old_sine_series(P, terms, x):
     return out, sum(abs(a) * (m * math.pi / P) ** 2 for m, a in terms)
 
 
+def old_odd_poly(coeffs, x):
+    """The same for sum_k c_k x^(2k+1), with the Horner tables the odd_poly
+    family built anew on every call."""
+    def horner(cs, u):
+        if len(cs) < 2:
+            return np.full_like(u, cs[0] if cs else 0.0)
+        acc = cs[-1] * u + cs[-2]
+        for c in reversed(cs[:-2]):
+            acc = acc * u + c
+        return acc
+
+    u = x * x
+    d = [(2 * k + 1) * c for k, c in enumerate(coeffs)]
+    d2 = [(2 * k + 1) * (2 * k) * c for k, c in enumerate(coeffs)][1:]
+    p = [c / (2 * k + 2) for k, c in enumerate(coeffs)]
+    return [x * horner(coeffs, u), horner(d, u), x * horner(d2, u), u * horner(p, u)], None
+
+
 def same_bits(new, old):
     # bytes tell -0.0 from 0.0, which np.array_equal does not
     assert np.shape(new) == np.shape(old)
@@ -211,8 +231,14 @@ points = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
                    st.floats(-50.0, 50.0), st.floats(-1e12, 1e12))
 
 
+# odd_poly coefficients: signed zeros below a nonzero leading coefficient
+poly_coeffs = st.tuples(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), amplitudes),
+                                 max_size=4), amplitudes).map(lambda t: t[0] + [t[1]])
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(
+    coeffs=poly_coeffs,
     sum_terms=st.dictionaries(st.integers(1, 40), amplitudes, min_size=1, max_size=6),
     series_terms=st.dictionaries(st.integers(0, 20).map(lambda j: 2 * j + 1), amplitudes,
                                  min_size=1, max_size=6),
@@ -220,19 +246,98 @@ points = st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
     xs=st.lists(points, min_size=1, max_size=8),
     interval=st.tuples(st.floats(-20.0, 0.0), st.floats(0.1, 20.0)),
 )
-def test_sine_families_keep_their_old_bits(sum_terms, series_terms, P, xs, interval):
+def test_sine_families_keep_their_old_bits(coeffs, sum_terms, series_terms, P, xs, interval):
     a, b = interval
-    for f, old, kmax, unit in [
-            (make_sine_combination(sum_terms),
-             partial(old_sine_sum, sorted(sum_terms.items())), max(sum_terms), math.pi),
+    for f, old, scan in [
+            (make_polynomial(coeffs), partial(old_odd_poly, coeffs), 64 * (2 * len(coeffs) + 1)),
+            (make_sine_combination(sum_terms), partial(old_sine_sum, sorted(sum_terms.items())),
+             int(32 * max(sum_terms) * (b - a) / math.pi) + 32),
             (make_sine_series(P, series_terms),
-             partial(old_sine_series, P, sorted(series_terms.items())), max(series_terms), P)]:
+             partial(old_sine_series, P, sorted(series_terms.items())),
+             int(32 * max(series_terms) * (b - a) / P) + 32)]:
         for x in (np.array(xs), np.array(xs[0])):
             values, bound = old(x)
             for name, want in zip(EVALUATIONS, values):
                 same_bits(getattr(f, name)(x), want)
-        assert f.deriv2_amplitude_bound() == bound
-        assert f.scan_resolution(a, b) == max(256, int(32 * kmax * (b - a) / unit) + 32)
+        if bound is not None:
+            assert f.deriv2_amplitude_bound() == bound
+        assert f.scan_resolution(a, b) == max(256, scan)
+
+
+def old_flags(f):
+    """(increasing, sign_on_positives) as one module-level function derived
+    them for every family before each family held its own."""
+    def real_roots(full):
+        coeffs = np.trim_zeros(full, "b")
+        if coeffs.size <= 1:
+            return np.array([])
+        roots = np.polynomial.polynomial.polyroots(coeffs)
+        return np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
+
+    if f.periodic is None:
+        d = np.zeros(2 * len(f.coeffs) - 1)
+        d[0::2] = [(2 * k + 1) * c for k, c in enumerate(f.coeffs)]
+        roots = real_roots(d)
+        lo = roots.min() - 1.0 if roots.size else -1.0
+        hi = roots.max() + 1.0 if roots.size else 1.0
+        probes = [lo, hi] + [0.5 * (roots[i] + roots[i + 1]) for i in range(len(roots) - 1)]
+        vals = [float(f.deriv(x)) for x in probes]
+        increasing = min(vals) > -1e-13 and max(vals) > 0.0
+        full = np.zeros(2 * len(f.coeffs))
+        full[1::2] = f.coeffs
+        pos_roots = [r for r in real_roots(full) if r > 1e-12]
+        hi = (max(pos_roots) if pos_roots else 0.0) + 1.0 + f.cauchy_root_bound()
+        grid = sorted(set(pos_roots) | {hi})
+        probes = [0.5 * min(grid)] + [0.5 * (grid[i] + grid[i + 1])
+                                      for i in range(len(grid) - 1)] + [hi]
+    else:
+        period, bound2 = f.periodic, f.deriv2_amplitude_bound()
+        xs = np.linspace(0.0, period, 4097)
+        h = xs[1] - xs[0]
+        increasing = False
+        for _ in range(12):
+            m = float(np.min(np.asarray(f.deriv(xs))))
+            if m < -1e-13 or m - bound2 * h * h / 8.0 > 0.0:
+                increasing = m >= -1e-13
+                break
+            h *= 0.5
+            xs = np.linspace(0.0, period, 2 * (xs.size - 1) + 1)
+        pts = [0.0] + zeros_in(f, (1e-9, period - 1e-9)).values() + [period]
+        probes = [0.5 * (pts[i] + pts[i + 1]) for i in range(len(pts) - 1)]
+    signs = {np.sign(v) for v in (float(f(x)) for x in probes) if abs(v) > 1e-13}
+    sign = SIGN_NONNEG if signs <= {1.0} else SIGN_NONPOS if signs <= {-1.0} else SIGN_MIXED
+    return increasing, sign
+
+
+def outcome(flags):
+    try:
+        return flags()
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+small = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    coeffs=st.lists(small, min_size=1, max_size=5).filter(lambda cs: any(cs)),
+    sum_terms=st.dictionaries(st.integers(1, 8), small.filter(bool), min_size=1, max_size=3),
+    series_terms=st.dictionaries(st.integers(0, 4).map(lambda j: 2 * j + 1), small.filter(bool),
+                                 min_size=1, max_size=3),
+    P=st.one_of(st.just(math.pi), st.floats(0.2, 5.0)),
+)
+@hypothesis.example(coeffs=[1.0, 1.0], sum_terms={1: 1.0}, series_terms={1: 1.0}, P=1.0)
+@hypothesis.example(coeffs=[1.0, -2.0, 1.0], sum_terms={2: -1.0}, series_terms={3: 2.0}, P=2.0)
+@hypothesis.example(coeffs=[0.0, -1.0], sum_terms={1: 1.0, 3: 0.5}, series_terms={1: 1.0}, P=1.0)
+def test_flags_match_the_old_classify(coeffs, sum_terms, series_terms, P):
+    for f in (make_polynomial(coeffs), make_sine_combination(sum_terms),
+              make_sine_series(P, series_terms)):
+        # a tiny leading coefficient puts the probes where f overflows, and a
+        # subnormal one makes the root finder's companion matrix infinite
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (outcome(lambda: (f.increasing, f.sign_on_positives))
+                    == outcome(lambda: old_flags(f)))
 
 
 def test_tracer_counts_each_sine_call_once():
