@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,30 +36,21 @@ from .errors import NumericalError, ValidationError
 from .graphs import Graph, graph_from_dict, graph_to_dict, incidence_rank, parse_edge_list
 
 
-@dataclass
-class RunConfig:
-    """Everything that determines a run's output, echoed into every report."""
-
-    command: str
-    graph_source: str | None = None
-    coupling_source: str | None = None
-    seed: int = DEFAULT_SEED
-    eq_tol_scale: float = EQ_TOL_SCALE
-    zero_tol_scale: float = ZERO_TOL_SCALE
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "graph": self.graph_source,
-            "coupling": self.coupling_source,
-            "seed": self.seed,
-            # always 1: the program is serial, and the key keeps the report layout
-            "threads": 1,
-            "eq_tol_scale": self.eq_tol_scale,
-            "zero_tol_scale": self.zero_tol_scale,
-            **self.extras,
-        }
+def run_config(args, **extras) -> dict:
+    """Everything that determines a run's output, echoed into every report:
+    the values common to the analysis commands, then ``extras``, the
+    command's own."""
+    return {
+        "command": args.command,
+        "graph": args.graph,
+        "coupling": args.coupling,
+        "seed": getattr(args, "seed", DEFAULT_SEED),
+        # always 1: the program is serial, and the key keeps the report layout
+        "threads": 1,
+        "eq_tol_scale": getattr(args, "t_eq", EQ_TOL_SCALE),
+        "zero_tol_scale": getattr(args, "t_zero", ZERO_TOL_SCALE),
+        **extras,
+    }
 
 
 def read_input(path: str, parse=json.loads):
@@ -248,10 +238,8 @@ def _cmd_bounds(args) -> int:
     G = load_graph(args.graph)
     f = load_coupling(args.coupling)
     rep = homology.dimension_bounds(G, f, cap=args.cap)
-    config = RunConfig("bounds", args.graph, args.coupling,
-                       extras={"cap": args.cap, "t_rank": args.t_rank})
-    emit({"config": config.to_dict(), "graph": graph_to_dict(G),
-          "incidence_rank": incidence_rank(G, tol=args.t_rank),
+    emit({"config": run_config(args, cap=args.cap, t_rank=args.t_rank),
+          "graph": graph_to_dict(G), "incidence_rank": incidence_rank(G, tol=args.t_rank),
           "report": rep.to_dict()}, args.out)
     return 0
 
@@ -262,9 +250,8 @@ def _cmd_solve(args) -> int:
     atlas = equilibria.multistart_atlas(
         G, f, n_starts=args.starts, seed=args.seed, box_radius=args.box,
         max_iter=args.max_iter)
-    config = RunConfig("solve", args.graph, args.coupling, seed=args.seed,
-                       extras={"starts": args.starts, "box": args.box})
-    emit({"config": config.to_dict(), "atlas": atlas.to_dict()}, args.out)
+    emit({"config": run_config(args, starts=args.starts, box=args.box),
+          "atlas": atlas.to_dict()}, args.out)
     return 0
 
 
@@ -295,10 +282,8 @@ def _cmd_continue(args) -> int:
                 for i, p in enumerate(sample.points)]
         write_csv(args.spectrum_csv,
                   ["index"] + [f"lambda{j}" for j in range(G.n)], rows)
-    config = RunConfig("continue", args.graph, args.coupling,
-                       zero_tol_scale=args.t_zero,
-                       extras={"mode": args.mode, "step": args.step})
-    emit({"config": config.to_dict(), "sample": sample.to_dict()}, args.out)
+    emit({"config": run_config(args, mode=args.mode, step=args.step),
+          "sample": sample.to_dict()}, args.out)
     return 0
 
 
@@ -313,10 +298,7 @@ def _cmd_stability(args) -> int:
     rep = stability_mod.classify(G, f, p, local_dim=args.local_dim,
                                  zero_scale=args.t_zero)
     membership = equilibria.membership_tests(G, f, p)
-    config = RunConfig("stability", args.graph, args.coupling,
-                       eq_tol_scale=args.t_eq, zero_tol_scale=args.t_zero,
-                       extras={"local_dim": args.local_dim})
-    emit({"config": config.to_dict(), "report": rep.to_dict(),
+    emit({"config": run_config(args, local_dim=args.local_dim), "report": rep.to_dict(),
           "membership": membership.to_dict()}, args.out)
     return 0
 
@@ -330,11 +312,8 @@ def _cmd_simulate(args) -> int:
     if args.csv:
         rows = np.column_stack([traj.times, traj.states, traj.energies]).tolist()
         write_csv(args.csv, ["t"] + [f"x{v}" for v in range(G.n)] + ["energy"], rows)
-    config = RunConfig("simulate", args.graph, args.coupling,
-                       extras={"t_end": args.t_end, "rtol": args.rtol,
-                               "atol": args.atol})
     report = {
-        "config": config.to_dict(),
+        "config": run_config(args, t_end=args.t_end, rtol=args.rtol, atol=args.atol),
         "samples": len(traj.times),
         "t_final": float(traj.times[-1]),
         "conserved_drift": traj.conserved_drift,
@@ -360,9 +339,8 @@ def _cmd_basin(args) -> int:
     rep = simulate_mod.basin_sample(G, f, p, radius=args.radius,
                                     trials=args.trials, seed=args.seed,
                                     t_end=args.t_end)
-    config = RunConfig("basin", args.graph, args.coupling, seed=args.seed,
-                       extras={"radius": args.radius, "trials": args.trials})
-    emit({"config": config.to_dict(), "report": rep.to_dict()}, args.out)
+    emit({"config": run_config(args, radius=args.radius, trials=args.trials),
+          "report": rep.to_dict()}, args.out)
     return 0
 
 
@@ -380,7 +358,8 @@ def _cmd_cover(args) -> int:
         }
         if ok:
             report["fiber_degrees"] = list(degrees)
-            report["external_equitable"] = len(set(degrees)) == 1
+            vertex_map = coverings.VertexMap(tuple(phi), degrees)
+            report["external_equitable"] = vertex_map.external_equitable
         emit(report, args.out)
         return 0
     if args.cover_command == "find":

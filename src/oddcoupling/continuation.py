@@ -17,7 +17,11 @@ import numpy as np
 from .coupling import CouplingFunction
 from .defaults import CONTINUATION_STEP, EQ_TOL_SCALE, ZERO_TOL_SCALE
 from .equilibria import (
+    CAPPED,
+    CONVERGED,
+    DIVERGED,
     NEWTON_BLOCK,
+    NONFINITE,
     EquilibriumPoint,
     _point,
     _rowwise,
@@ -117,10 +121,14 @@ class ManifoldSample:
 
     points: tuple[EquilibriumPoint, ...]
     local_dim: tuple[int, ...]
-    closed: bool
     singular_flags: tuple[int, ...]  # indices into points
     step: float
     stop: str
+
+    @property
+    def closed(self) -> bool:
+        """Whether the trace returned to its start."""
+        return self.stop == CLOSED
 
     def to_dict(self) -> dict:
         return {
@@ -144,10 +152,6 @@ def _edge_normalized(G: Graph, t: np.ndarray) -> np.ndarray:
     if nrm == 0.0:
         raise ValidationError("direction has zero edge-space length")
     return t / nrm
-
-
-# outcomes of _correct, one per row
-CONVERGED, NONFINITE, DIVERGED, CAPPED = 1, 2, 3, 4
 
 
 def _correct(G: Graph, f: CouplingFunction, X_pred: np.ndarray, T: np.ndarray,
@@ -297,7 +301,6 @@ def trace_curve(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
     return ManifoldSample(
         points=tuple(points),
         local_dim=tuple(dims),
-        closed=stop == CLOSED,
         singular_flags=tuple(flags),
         step=step,
         stop=stop,
@@ -377,7 +380,6 @@ def sample_manifold(G: Graph, f: CouplingFunction, p0: EquilibriumPoint,
     return ManifoldSample(
         points=tuple(points[i] for i in order),
         local_dim=tuple(dims[i] for i in order),
-        closed=False,
         singular_flags=tuple(sorted(position[i] for i in flags)),
         step=step,
         stop=POINT_BUDGET if len(points) >= budget else FRONTIER_EXHAUSTED,

@@ -332,8 +332,7 @@ def _scenario_cover7(G, f):
             "covering graph")
     H = cover7_target()
     ok, degrees = coverings.is_generalized_covering(COVER7_PHI, G, H)
-    phi = coverings.VertexMap(COVER7_PHI, degrees,
-                              len(set(degrees)) == 1 if degrees else None)
+    phi = coverings.VertexMap(COVER7_PHI, degrees)
     auts = coverings.automorphisms(G)
     checks = [
         CheckResult("cover7-valid", "the labelling is a generalized covering map",

@@ -46,11 +46,17 @@ __all__ = [
 @dataclass(frozen=True)
 class VertexMap:
     """A vertex map G -> H; fiber degrees are filled in once validated as a
-    generalized covering. external_equitable notes the all-degrees-equal case."""
+    generalized covering."""
 
     phi: tuple[int, ...]
     fiber_degrees: tuple[int, ...] | None = None
-    external_equitable: bool | None = None
+
+    @property
+    def external_equitable(self) -> bool | None:
+        """Whether all fiber degrees are equal; None until validated."""
+        if self.fiber_degrees is None:
+            return None
+        return len(set(self.fiber_degrees)) == 1
 
     def to_dict(self) -> dict:
         out: dict = {"phi": list(self.phi)}
@@ -120,8 +126,7 @@ def validated_vertex_map(phi, G: Graph, H: Graph) -> VertexMap:
     ok, degrees = is_generalized_covering(phi, G, H)
     if not ok:
         raise ValidationError("phi is not a generalized covering map")
-    return VertexMap(phi=tuple(int(v) for v in phi), fiber_degrees=degrees,
-                     external_equitable=len(set(degrees)) == 1)
+    return VertexMap(phi=tuple(int(v) for v in phi), fiber_degrees=degrees)
 
 
 def find_generalized_coverings(G: Graph, H: Graph, cap: int = 10_000) -> list[VertexMap]:
@@ -150,8 +155,7 @@ def find_generalized_coverings(G: Graph, H: Graph, cap: int = 10_000) -> list[Ve
         if v == G.n:
             ok, degrees = is_generalized_covering(phi, G, H)
             if ok:
-                found.append(VertexMap(phi=tuple(phi), fiber_degrees=degrees,
-                                       external_equitable=len(set(degrees)) == 1))
+                found.append(VertexMap(phi=tuple(phi), fiber_degrees=degrees))
                 if len(found) > cap:
                     raise SearchBudgetExceededError(
                         f"more than {cap} generalized coverings")
@@ -173,7 +177,7 @@ def lift_equilibrium(phi: VertexMap, y_point: EquilibriumPoint, G: Graph, H: Gra
     is an equilibrium up to d_i-scaled roundoff."""
     if phi.fiber_degrees is None:
         phi = validated_vertex_map(phi.phi, G, H)
-    if y_point.residual > eq_tolerance(y_point.x):
+    if not y_point.accepted():
         raise NotAnEquilibriumError(
             f"input residual {y_point.residual:.3e} exceeds tolerance")
     x = np.array([y_point.x[phi.phi[i]] for i in range(G.n)])
@@ -271,7 +275,7 @@ def orbit_of_equilibrium(auts: AutomorphismSet, G: Graph, f: CouplingFunction,
     Equivariance makes every image an equilibrium with the same residual; the
     verification guards against mixed-up graphs rather than roundoff.
     """
-    if p.residual > eq_tolerance(p.x):
+    if not p.accepted():
         raise NotAnEquilibriumError(f"residual {p.residual:.3e} too large")
     reps: list[EquilibriumPoint] = []
     stab: list[int] = []

@@ -8,6 +8,7 @@ around cycles are identified through the integer lattice {B^T k : k integer}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -95,7 +96,8 @@ class EquilibriumPoint:
     canonical: np.ndarray  # x with zero mean on every component
 
     def accepted(self, tol_scale: float = EQ_TOL_SCALE) -> bool:
-        return self.residual <= eq_tolerance(self.x, tol_scale)
+        # a state at infinity has an infinite tolerance
+        return math.isfinite(self.residual) and self.residual <= eq_tolerance(self.x, tol_scale)
 
 
 def equilibrium_point(G: Graph, f: CouplingFunction, x) -> EquilibriumPoint:
@@ -164,8 +166,10 @@ def wrap_to_fundamental(G: Graph, x, period: float) -> np.ndarray:
 # Newton solver and multistart atlas
 # ---------------------------------------------------------------------------
 
-# stop reasons of newton_batch, one per start
-CONVERGED, STALLED, CAPPED = 1, 2, 3
+# stop reasons of the stacked Newton kernels, one per row: newton_batch
+# stops with CONVERGED, STALLED or CAPPED, continuation._correct with
+# CONVERGED, NONFINITE, DIVERGED or CAPPED
+CONVERGED, STALLED, CAPPED, NONFINITE, DIVERGED = 1, 2, 3, 4, 5
 
 # multistart_atlas solves its starts in blocks of NEWTON_BLOCK // n^2, so
 # that the (block, n, n) Hessian and SVD stacks stay near 256 KB each
@@ -216,7 +220,9 @@ def newton_batch(G: Graph, f: CouplingFunction, X, max_iter: int):
             x_t = x[look] + t * delta[look]
             F_t = vector_field(G, f, x_t)
             r_t = np.sqrt(np.vecdot(F_t, F_t))
-            ok = r_t * r_t <= (1.0 - 1e-4 * t) * base[look]
+            # inf <= inf: against an overflowed residual the test below
+            # accepts every trial, so a trial state must also be finite
+            ok = np.isfinite(x_t).all(axis=1) & (r_t * r_t <= (1.0 - 1e-4 * t) * base[look])
             rows = live[look[ok]]
             X[rows], F[rows], res[rows] = x_t[ok], F_t[ok], r_t[ok]
             look = look[~ok]

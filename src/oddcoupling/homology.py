@@ -221,12 +221,15 @@ class DimensionBoundReport:
     cc_exact: bool
     n_minus_c: int
     half_m: int
-    m_minus_n_plus_c: int
-    chain_bound: int | None
     applicable_chain_bound: bool
 
+    @property
+    def chain_bound(self) -> int | None:
+        """dim_H1 - cc + 1; None when the graph has no cycle."""
+        return self.dim_H1 - self.cc + 1 if self.cc >= 1 else None
+
     def min_applicable(self) -> int:
-        bounds = [self.n_minus_c, self.half_m, self.m_minus_n_plus_c]
+        bounds = [self.n_minus_c, self.half_m, self.dim_H1]
         if self.applicable_chain_bound and self.chain_bound is not None and self.cc_exact:
             bounds.append(self.chain_bound)
         return min(bounds)
@@ -239,7 +242,7 @@ class DimensionBoundReport:
             "bounds": {
                 "n_minus_c": self.n_minus_c,
                 "half_m": self.half_m,
-                "m_minus_n_plus_c": self.m_minus_n_plus_c,
+                "m_minus_n_plus_c": self.dim_H1,
                 "chain_bound": self.chain_bound,
             },
             "applicable_chain_bound": self.applicable_chain_bound,
@@ -254,14 +257,11 @@ def dimension_bounds(G: Graph, f: CouplingFunction, cap: int = CYCLE_CAP,
     dim_h1 = G.m - G.n + G.c
     cc, exact = cycle_chain_number(G, cap=cap, time_budget=time_budget)
     applicable = (f.periodic is not None) or f.finite_fibers
-    chain = dim_h1 - cc + 1 if cc >= 1 else None
     return DimensionBoundReport(
         dim_H1=dim_h1,
         cc=cc,
         cc_exact=exact,
         n_minus_c=G.n - G.c,
         half_m=G.m // 2,
-        m_minus_n_plus_c=dim_h1,
-        chain_bound=chain,
         applicable_chain_bound=applicable,
     )

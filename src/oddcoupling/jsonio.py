@@ -12,10 +12,12 @@ from typing import Any
 
 import numpy as np
 
+from .errors import NumericalError
+
 
 def _format_float(v: float) -> str:
     if math.isnan(v) or math.isinf(v):
-        raise ValueError(f"cannot serialize non-finite float {v!r}")
+        raise NumericalError(f"cannot serialize non-finite float {v!r}")
     if v == int(v) and abs(v) < 1e16:
         return f"{v:.1f}"
     return format(v, ".17g")

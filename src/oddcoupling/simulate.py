@@ -49,17 +49,20 @@ class Trajectory:
     states: np.ndarray        # (T, n)
     energies: np.ndarray      # (T,)
     conserved_drift: float    # max over components and samples
-    converged: bool
     converged_to: EquilibriumPoint | None
     message: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether the run ended at an equilibrium, ``converged_to``."""
+        return self.converged_to is not None
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
 
 def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
-              rtol: float = ODE_RTOL, atol: float = ODE_ATOL,
-              mono_check: bool = True) -> Trajectory:
+              rtol: float = ODE_RTOL, atol: float = ODE_ATOL) -> Trajectory:
     """Adaptive embedded Runge-Kutta integration of the coupled flow.
 
     Stops early once the residual drops below the equilibrium tolerance; the
@@ -88,7 +91,7 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     drift = float(np.max(np.abs(comp_sums - comp_sums[0]), initial=0.0))
     energies = energy(G, f, states)
 
-    if mono_check and energies.size > 1:
+    if energies.size > 1:
         slack = mono_tolerance(float(energies[0]))
         rises = np.diff(energies)
         worst = float(rises.max(initial=0.0))
@@ -101,7 +104,6 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     # noise keeps ||F|| at a floor near rtol * scale even after the flow has
     # settled, so convergence is also declared post hoc when the endpoint is
     # at that floor and a Newton polish stays local and accepted
-    converged = False
     converged_to = None
     final = states[-1]
     final_res = float(np.linalg.norm(vector_field(G, f, final)))
@@ -112,15 +114,14 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
             polished = None
         scale = 1.0 + float(np.max(np.abs(final), initial=0.0))
         if polished is not None and float(np.max(np.abs(polished.x - final))) <= 1e-5 * scale:
-            converged, converged_to = True, polished
+            converged_to = polished
         elif status == 1:
-            converged, converged_to = True, equilibrium_point(G, f, final)
+            converged_to = equilibrium_point(G, f, final)
     return Trajectory(
         times=times,
         states=states,
         energies=energies,
         conserved_drift=drift,
-        converged=converged,
         converged_to=converged_to,
         message=_STOP_MESSAGES[status],
     )
@@ -388,7 +389,7 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
     periodic coupling) from p; the return test measures the distance to the
     component of p, approximated by the provided component samples plus p.
     """
-    if p.residual > eq_tolerance(p.x):
+    if not p.accepted():
         raise ValidationError(f"residual {p.residual:.3e}: not an accepted equilibrium")
     rng = np.random.default_rng(seed)
     anchors_y = np.array([a.y for a in (component or ()) + (p,)])
@@ -399,7 +400,7 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
         if nrm == 0.0:
             return 0.0, 0.0
         x0 = p.x + (radius / nrm) * delta
-        traj = integrate(G, f, x0, t_end=t_end, mono_check=False)
+        traj = integrate(G, f, x0, t_end=t_end)
         ys = traj.states @ G.B
         dists = edge_space_distance(G, ys, p.y, period=f.periodic)
         final_dist = edge_space_distance(G, anchors_y, ys[-1], period=f.periodic)

@@ -314,7 +314,6 @@ def sample_manifold_oracle(G, f, p0, step=CONTINUATION_STEP, budget=400):
     return ManifoldSample(
         points=tuple(points[i] for i in order),
         local_dim=tuple(dims[i] for i in order),
-        closed=False,
         singular_flags=tuple(sorted(order.index(i) for i in set(flags))),
         step=step,
         stop="point_budget" if len(points) >= budget else "frontier_exhausted",

@@ -399,17 +399,20 @@ def test_module_entry_point():
 
 
 C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
+P2 = ["--graph", "p2.json", "--coupling", "cubic.json"]
 
 
 def write_extreme_inputs(workdir):
     """Graphs and couplings at the edge of the float range."""
     for name, data in [
             ("c3.json", {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}),
+            ("p2.json", {"n": 2, "edges": [[0, 1]]}),
             ("star.json", {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}),
             ("huge.json", {"family": "odd_poly", "coeffs": [1e308, 1e300]}),
             ("overflow.json", {"family": "odd_poly", "coeffs": [1e308, 1e308]}),
             ("coeff_d2.json", {"family": "odd_poly", "coeffs": [1.0, 5e307]}),
             ("steep.json", {"family": "odd_poly", "coeffs": [1.0, 1e306]}),
+            ("linear_huge.json", {"family": "odd_poly", "coeffs": [5e307]}),
             ("amp_d1.json", {"family": "sine_sum", "terms": {"3": 1e308}}),
             ("amp_d2.json", {"family": "sine_sum", "terms": {"3": 5e307}}),
             ("spike.json", {"family": "sine_sum", "terms": {"1": 1e308}}),
@@ -468,6 +471,13 @@ def write_extreme_inputs(workdir):
     # f' is finite, but the centre's Hessian entry sums three of them to inf
     (["stability", "--graph", "star.json", "--coupling", "spike.json", "--point", "0,0,0,0"],
      3, "the energy Hessian is not finite"),
+    # a state at infinity has a residual that is not finite, and is no equilibrium
+    (["stability", *P2, "--point", "inf,0"], 2, "residual inf: not an equilibrium"),
+    (["continue", *P2, "--point", "inf,0"], 2, "start residual inf exceeds tolerance"),
+    (["cover", "lift", "--graph", "c3.json", "--target", "c3.json", "--phi", "0,1,2",
+      "--coupling", "cubic.json", "--point", "inf,0,0"], 2,
+     "input residual nan exceeds tolerance"),
+    (["basin", *P2, "--point", "inf,0"], 2, "residual inf: not an accepted equilibrium"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)
@@ -492,6 +502,8 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
     ["simulate", *C3, "--x0=1e200,0,0", "--t-end", "1"],
     ["solve", "--graph", "c3.json", "--coupling", "huge.json"],
     ["continue", *C3, "--point=0,1,0", "--step", "1e300"],
+    # the inputs are finite, and the eigenvalue 2a of the report overflows
+    ["stability", "--graph", "p2.json", "--coupling", "spike.json", "--point", "0,0"],
 ])
 def test_numerical_failure_prints_only_its_message(workdir, monkeypatch, argv):
     # numpy's overflow warnings must not reach stderr ahead of the message
@@ -529,6 +541,60 @@ def test_no_infinite_matrix_reaches_lapack(workdir, monkeypatch, argv, code, mes
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and message in lines[0]
+
+
+def test_overflowed_newton_trial_is_never_an_equilibrium(workdir, monkeypatch):
+    # f(y) = 5e307 y overflows on most starts of the box, and a Newton step
+    # from there is not finite; no such state may enter the atlas
+    monkeypatch.chdir(workdir)
+    write_extreme_inputs(workdir)
+    assert run(["solve", "--graph", "p2.json", "--coupling", "linear_huge.json",
+                "--starts", "20", "--box", "10", "--out", "r.json"]) == 0
+    points = json.loads((workdir / "r.json").read_text())["atlas"]["points"]
+    assert points
+    for p in points:
+        values = [p["residual"], *p["x"], *p["y"], *p["canonical"]]
+        assert all(math.isfinite(v) for v in values)
+
+
+def _config(command, seed=1729, eq=1e-9, zero=1e-7, **extras):
+    return {"command": command, "graph": "g.json", "coupling": "f.json",
+            "seed": seed, "threads": 1, "eq_tol_scale": eq, "zero_tol_scale": zero,
+            **extras}
+
+
+@pytest.mark.parametrize("graph, coupling, argv, config", [
+    ("k4.json", "sin.json", ["bounds", "--cap", "50", "--t-rank", "1e-6"],
+     _config("bounds", cap=50, t_rank=1e-6)),
+    ("k4.json", "sin.json",
+     ["solve", "--starts", "5", "--seed", "7", "--box", "1.5", "--max-iter", "40"],
+     _config("solve", seed=7, starts=5, box=1.5)),
+    ("c3x2.json", "cubic.json",
+     ["continue", "--point", "0,1,0,0,1,0", "--mode", "surface", "--budget", "3",
+      "--step", "0.1", "--t-zero", "1e-6"],
+     _config("continue", zero=1e-6, mode="surface", step=0.1)),
+    ("k4.json", "sin.json",
+     ["stability", "--point", "0,0,0,0", "--t-eq", "1e-6", "--t-zero", "1e-6",
+      "--local-dim", "2"],
+     _config("stability", eq=1e-6, zero=1e-6, local_dim=2)),
+    ("p2.json", "sin.json",
+     ["simulate", "--x0", "0.1,0", "--t-end", "2", "--rtol", "1e-6", "--atol", "1e-9"],
+     _config("simulate", t_end=2.0, rtol=1e-6, atol=1e-9)),
+    ("p2.json", "sin.json",
+     ["basin", "--point", "0,0", "--radius", "0.2", "--trials", "2", "--seed", "5",
+      "--t-end", "3"],
+     _config("basin", seed=5, radius=0.2, trials=2)),
+])
+def test_config_block_echoes_the_run(workdir, monkeypatch, graph, coupling, argv, config):
+    monkeypatch.chdir(workdir)
+    (workdir / "c3x2.json").write_text(json.dumps(
+        {"n": 6, "edges": [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]}))
+    (workdir / "p2.json").write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    (workdir / "g.json").write_text((workdir / graph).read_text())
+    (workdir / "f.json").write_text((workdir / coupling).read_text())
+    assert run([*argv, "--graph", "g.json", "--coupling", "f.json", "--out", "r.json"]) == 0
+    got = json.loads((workdir / "r.json").read_text())["config"]
+    assert list(got.items()) == list(config.items())
 
 
 def test_one_run_leaves_nothing_for_the_next(workdir, monkeypatch):
