@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t-rank", type=positive_float, default=None,
                    help="singular-value cutoff override for the incidence rank")
-    p.add_argument("--cap", type=positive_int, default=10_000, help="simple-cycle cap")
+    p.add_argument("--cap", type=positive_int, default=10_000,
+                   help="cap on the simple cycles the chain search enumerates")
 
     p = sub.add_parser("solve", help="multistart equilibrium atlas")
     _add_common(p)

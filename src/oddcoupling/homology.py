@@ -4,9 +4,12 @@ the dimension bounds they impose on the set of equilibria.
 All cycle arithmetic is exact integer arithmetic; a cycle is a signed vector
 in edge space with entries -1/0/+1 and lies in the kernel of the incidence
 matrix. Enumeration extends a path only by a vertex that can still close a
-kept cycle, so its time is proportional to its output. The chain search is a
-branch and bound: it drops a chain that cannot beat the best one found and
-stops at the dual bound U = min(dim H1, 1 + (m - g) // (g - 1)), g the girth.
+kept cycle, so its time is proportional to its output; it can also list only
+the cycles of one length. The chain search deepens by cycle length: it
+enumerates one length band at a time, runs a branch and bound over the cycles
+so far, and stops once no longer cycle can lengthen a chain, or at the dual
+bound U = min(dim H1, 1 + (m - g) // (g - 1)), g the girth. Its cycle cap and
+time budget count only the cycles it enumerates.
 """
 
 from __future__ import annotations
@@ -44,13 +47,12 @@ class CycleVector:
 
 
 def _signed_vector(G: Graph, walk) -> CycleVector:
-    vec = [0] * G.m
+    vec, edges = [0] * G.m, []
     for i, v in enumerate(walk):
-        w = walk[(i + 1) % len(walk)]
-        idx, sign = G.edge_index(v, w)
+        idx, sign = G.edge_index(v, walk[(i + 1) % len(walk)])
         vec[idx] = sign
-    return CycleVector(vector=tuple(vec), edges=frozenset(i for i, s in enumerate(vec) if s),
-                       walk=tuple(walk))
+        edges.append(idx)
+    return CycleVector(vector=tuple(vec), edges=frozenset(edges), walk=tuple(walk))
 
 
 def cycle_basis(G: Graph) -> list[CycleVector]:
@@ -105,55 +107,71 @@ def cycle_space_matrix(G: Graph) -> np.ndarray:
     return np.column_stack([b.as_array() for b in basis])
 
 
-def _closes(G: Graph, root: int, path: tuple[int, ...], w: int) -> bool:
-    """Whether w, appended to the path, reaches a neighbour b > walk[1] of the
-    root through vertices above the root that are off the path."""
+def _closing_distance(G: Graph, root: int, path: tuple[int, ...], w: int,
+                      limit: int | None) -> int | None:
+    """Steps from w, appended to the path, to the nearest neighbour b > walk[1]
+    of the root through vertices above the root that are off the path; None
+    when there is no such b within ``limit`` steps."""
     lo = path[1] if len(path) > 1 else w
     ends = {b for b in G.neighbors[root] if b > lo}
-    seen, todo = {*path, w}, [w]
-    while todo:
-        u = todo.pop()
-        if u in ends:
-            return True
-        for x in G.neighbors[u]:
-            if x > root and x not in seen:
-                seen.add(x)
-                todo.append(x)
-    return False
+    seen, layer = {*path, w}, [w]
+    for d in range(G.n if limit is None else limit + 1):
+        if not layer:
+            return None
+        if not ends.isdisjoint(layer):
+            return d
+        nxt = []
+        for u in layer:
+            for x in G.neighbors[u]:
+                if x > root and x not in seen:
+                    seen.add(x)
+                    nxt.append(x)
+        layer = nxt
+    return None
 
 
-def _enumerate_up_to(G: Graph, cap: int,
-                     deadline: float | None = None) -> tuple[list[CycleVector], bool]:
-    """All simple cycles, one orientation each, deterministic order.
+def _enumerate_up_to(G: Graph, cap: int, deadline: float | None = None,
+                     length: int | None = None) -> tuple[list[CycleVector], bool]:
+    """All simple cycles, or with ``length`` only those of exactly that many
+    edges, one orientation each, deterministic order.
 
     Cycles are generated per root vertex r (the minimum vertex of the cycle)
     by DFS over paths through vertices > r, keeping the orientation with
     walk[1] < walk[-1]. A vertex w is pushed only if it can still close a kept
     cycle: it reaches a neighbour b > walk[1] of r, off the path, through
-    vertices > r off the path (``_closes``). Every DFS node then leads to a
+    vertices > r off the path (``_closing_distance``), and with a length does
+    so within the steps such a cycle leaves. Every DFS node then leads to a
     cycle. The list is sorted by (length, walk); the second value is True when
-    it was cut short by ``cap`` or by the ``deadline``, a ``time.monotonic``.
+    the walk was cut short: by ``cap``, by the ``deadline``, a
+    ``time.monotonic``, or by the length, when a longer cycle exists.
     """
-    cycles = []
+    top = G.n if length is None else length
+    cycles, cut = [], False
     for root in range(G.n):
-        stack = [(root, (root,))]
+        stack = [(root, (root,), 1 << root)]
         while stack:
             if deadline is not None and time.monotonic() > deadline:
                 return cycles, True
-            v, path = stack.pop()
-            closes_here = len(path) >= 3 and path[1] < v and G.has_edge(v, root)
-            if closes_here:
+            v, path, on = stack.pop()
+            at_end = len(path) > 1 and path[1] < v and G.has_edge(v, root)
+            if at_end and (len(path) == length if length else len(path) >= 3):
                 cycles.append(_signed_vector(G, path))
                 if len(cycles) > cap:
                     return cycles, True
-            nxt = [w for w in G.neighbors[v] if w > root and w not in path]
-            # a node that cannot close here leads on through its only way out
-            forced = len(nxt) == 1 and len(path) > 1 and not closes_here
+            nxt = [w for w in G.neighbors[v] if w > root and not on >> w & 1]
+            steps = top - len(path) - 1
+            # a pushed node that is no end reaches one through its only way out
+            forced = len(nxt) == 1 and len(path) > 1 and not at_end
             for w in nxt:
-                if forced or _closes(G, root, path, w):
-                    stack.append((w, path + (w,)))
+                # once the walk is known to be cut, a distance past the steps
+                # left need not be found
+                d = 0 if forced else _closing_distance(G, root, path, w, steps if cut else None)
+                if d is not None and d <= steps:
+                    stack.append((w, path + (w,), on | 1 << w))
+                elif d is not None:
+                    cut = True
     cycles.sort(key=lambda cv: (len(cv.edges), cv.walk))
-    return cycles, False
+    return cycles, cut
 
 
 def enumerate_cycles(G: Graph, cap: int = CYCLE_CAP) -> list[CycleVector]:
@@ -169,42 +187,66 @@ def cycle_chain_number(G: Graph, cap: int = CYCLE_CAP,
     """Maximum length of a cycle chain: consecutive cycles share exactly one
     edge, non-consecutive cycles are edge-disjoint.
 
-    Branch and bound, shortest cycles first: a chain's cycles are independent
-    and each after the first brings g - 1 or more new edges (g the girth), so
-    cc <= U = min(dim H1, 1 + (m - g) // (g - 1)) and a chain of length L
+    The cycles are enumerated in bands of one length, ℓ = 3, 4, ..., and the
+    first non-empty band gives the girth g. A chain's cycles are independent
+    and each after the first brings g - 1 or more new edges, so
+    cc <= U = min(dim H1, 1 + (m - g) // (g - 1)); a chain of L cycles covers
+    Σℓᵢ - (L - 1) <= m edges, so a chain longer than ``best`` uses no cycle
+    longer than m - best·(g - 1). After each band a branch and bound, shortest
+    cycles first, searches all cycles found so far: a chain of length L
     leaving ``free`` edges unused is dropped when L + free // (g - 1) <= best.
-    The search stops when best reaches U. Returns (cc, exact); exact is False
-    when the enumeration hit the cap or either stage ran out of the wall-clock
-    budget, in which case cc is a lower bound.
+    The search stops when best reaches U, when no cycle is longer than the
+    band, or when the next band is longer than m - best·(g - 1) or than n.
+    Returns (cc, exact); exact is False when the cycles enumerated exceed the
+    cap or the wall-clock budget runs out, in which case cc is a lower bound.
     """
     deadline = time.monotonic() + time_budget if time_budget else None
-    cycles, truncated = _enumerate_up_to(G, cap, deadline)
-    if not cycles:
-        # the deadline can fall before the first cycle; any cycle is a
-        # chain of length one, and one exists exactly when dim H1 >= 1
-        return min(1, G.m - G.n + G.c), not truncated
-    masks = [sum(1 << e for e in cv.edges) for cv in cycles]
-    M = np.abs(np.array([cv.vector for cv in cycles], dtype=np.float32))
-    # share_one[i]: the cycles sharing exactly one edge with cycle i, from
-    # M Mᵀ in row blocks; float32 counts of shared edges (<= m) are exact
-    share_one = []
-    for lo in range(0, len(cycles), 512):
-        if deadline is not None and time.monotonic() > deadline:
-            return 1, False
-        share_one += [np.flatnonzero(row).tolist() for row in M[lo:lo + 512] @ M.T == 1]
-    g = min(len(cv.edges) for cv in cycles)
-    bound = min(G.m - G.n + G.c, 1 + (G.m - g) // (g - 1))
-    best, stack = 1, [(i, 0, 1) for i in reversed(range(len(cycles)))]
-    while stack and best < bound:
-        if deadline is not None and time.monotonic() > deadline:
-            return best, False
-        last, before, length = stack.pop()
-        best = max(best, length)
-        used = before | masks[last]
-        if length + (G.m - used.bit_count()) // (g - 1) > best:
-            stack += [(j, used, length + 1) for j in reversed(share_one[last])
-                      if not masks[j] & before]
-    return best, not truncated
+    dim_h1 = G.m - G.n + G.c
+    masks, share_one = [], []
+    M = np.zeros((0, G.m), dtype=np.float32)   # 0/1 edge rows of the cycles so far
+    best, g, bound = 1, 0, dim_h1
+    for length in range(3, G.n + 1):
+        if g and (best >= bound or length > G.m - best * (g - 1)):
+            break
+        k0 = len(masks)
+        band, cut = _enumerate_up_to(G, cap - k0, deadline, length)
+        if band:
+            g = g or length
+            bound = min(dim_h1, 1 + (G.m - g) // (g - 1))
+            masks += [sum(1 << e for e in cv.edges) for cv in band]
+            share_one += [[] for _ in band]
+            new = np.abs(np.array([cv.vector for cv in band], dtype=np.float32))
+            M = np.vstack([M, new])
+            # the new rows of M Mᵀ in row blocks give share_one, the cycles
+            # sharing exactly one edge; float32 counts of shared edges (<= m)
+            # are exact, and an old cycle's list grows by new indices only
+            for lo in range(0, len(band), 512):
+                if deadline is not None and time.monotonic() > deadline:
+                    return best, False
+                hits = new[lo:lo + 512] @ M.T == 1
+                for r, row in enumerate(hits, start=k0 + lo):
+                    share_one[r] = np.flatnonzero(row).tolist()
+                old, rows = np.nonzero(hits[:, :k0].T)
+                for i, j in zip(old.tolist(), (rows + k0 + lo).tolist()):
+                    share_one[i].append(j)
+            # the branch and bound, over all cycles so far, from the best chain
+            stack = [(i, 0, 1) for i in reversed(range(len(masks)))]
+            while stack and best < bound:
+                if deadline is not None and time.monotonic() > deadline:
+                    return best, False
+                last, before, size = stack.pop()
+                best = max(best, size)
+                used = before | masks[last]
+                if size + (G.m - used.bit_count()) // (g - 1) > best:
+                    stack += [(j, used, size + 1) for j in reversed(share_one[last])
+                              if not masks[j] & before]
+        if len(band) > cap - k0 or (deadline is not None and time.monotonic() > deadline):
+            # the deadline can fall before the first cycle; any cycle is a
+            # chain of length one, and one exists exactly when dim H1 >= 1
+            return (best if masks else min(1, dim_h1)), False
+        if not cut:
+            break   # no cycle is longer than this band
+    return (best if masks else min(1, dim_h1)), True
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,36 @@ def test_random_graphs_match_legacy(G):
     assert cycle_chain_number(G) == legacy_cycle_chain(G, CYCLE_CAP)
 
 
+@st.composite
+def dense_graphs(draw):
+    """Graphs on 5 to 8 vertices with n to 2n edges, so that the chain
+    search runs bands past the girth and stops at m - best·(g - 1)."""
+    n = draw(st.integers(5, 8))
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n, max_size=2 * n))
+    return build_graph(chosen, n=n)
+
+
+# a fixed draw: the legacy search takes up to about 1.3 s on an 8-vertex
+# graph with 16 edges, so a random one can cost several seconds
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(dense_graphs())
+def test_dense_graphs_match_legacy(G):
+    assert cycle_chain_number(G) == legacy_cycle_chain(G, CYCLE_CAP)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(small_graphs())
+def test_length_bands_partition_the_cycles(G):
+    # the walk with a length lists the full list's cycles of that length and
+    # says whether a longer cycle exists
+    cycles, _ = _enumerate_up_to(G, CYCLE_CAP)
+    for length in range(3, G.n + 1):
+        band, cut = _enumerate_up_to(G, CYCLE_CAP, length=length)
+        assert band == [cv for cv in cycles if len(cv.edges) == length]
+        assert cut == any(len(cv.edges) > length for cv in cycles)
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(small_graphs())
 def test_cycle_count_matches_networkx(G):

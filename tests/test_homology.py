@@ -30,6 +30,12 @@ from oddcoupling.errors import CycleCapExceededError
 from helpers import brute_force_cycle_chain, brute_force_simple_cycles, random_connected_graph
 
 
+def subdivided(G):
+    """G with every edge replaced by a path of two edges through a new vertex."""
+    return build_graph([e for k, (u, v) in enumerate(G.edges)
+                        for e in ((u, G.n + k), (G.n + k, v))])
+
+
 def test_tree_has_empty_basis():
     assert cycle_basis(path_graph(5)) == []
 
@@ -101,6 +107,9 @@ def test_cycle_chain_values():
     assert cycle_chain_number(ladder_graph(3)) == (3, True)
     assert cycle_chain_number(wheel_graph(6)) == (5, True)
     assert cycle_chain_number(path_graph(4)) == (0, True)
+    # no two cycles share exactly one edge: the search ends past the longest
+    # cycle, 10 edges, well before n = 15
+    assert cycle_chain_number(subdivided(complete_graph(5))) == (1, True)
 
 
 def test_cycle_chain_wheel_oracle():
@@ -139,10 +148,13 @@ def test_cycle_chain_budget_flag():
 
 
 def test_cycle_chain_budget_covers_enumeration():
-    # K10 has 556,014 simple cycles: enumerating them alone takes far
-    # longer than the budget, so the budget must stop the enumeration
+    # two cycles of a subdivided graph never share exactly one edge, so
+    # cc = 1 stays below U and every length band up to the circumference is
+    # needed: for K9 subdivided that is 62,814 cycles of 6-18 edges, whose
+    # enumeration alone takes far longer than the budget, so the budget must
+    # stop the enumeration
     t0 = time.monotonic()
-    cc, exact = cycle_chain_number(complete_graph(10), cap=10**7, time_budget=0.2)
+    cc, exact = cycle_chain_number(subdivided(complete_graph(9)), cap=10**7, time_budget=0.2)
     assert time.monotonic() - t0 < 2.0
     assert not exact
     assert cc >= 1
@@ -158,8 +170,20 @@ def test_cycle_chain_bound_certifies():
     assert cycle_chain_number(wheel_graph(12)) == (11, True)
 
 
+def test_cycle_chain_is_exact_past_the_cap():
+    # 20,100 simple cycles, past the cap, but the 200 unit cells of the
+    # girth band already reach U = dim H1, so no longer band is enumerated
+    G = ladder_graph(200)
+    t0 = time.monotonic()
+    assert cycle_chain_number(G) == (200, True)
+    assert time.monotonic() - t0 < 5.0
+    with pytest.raises(CycleCapExceededError):
+        enumerate_cycles(G)
+
+
 def test_cycle_chain_memory_is_bounded():
-    # 5050 cycles: one N x N product in int64 alone would take 204 MB
+    # 5050 cycles: one N x N product of all of them in int64 alone would
+    # take 204 MB; the search enumerates only the girth band of 100 cells
     G = ladder_graph(100)
     tracemalloc.start()
     try:
