@@ -25,6 +25,8 @@ from . import stability as stability_mod
 from .coupling import CouplingFunction, coupling_from_dict
 from .defaults import (
     CONTINUATION_STEP,
+    COVERING_CAP,
+    CYCLE_CAP,
     DEFAULT_SEED,
     EQ_TOL_SCALE,
     ODE_ATOL,
@@ -33,7 +35,8 @@ from .defaults import (
     ZERO_TOL_SCALE,
 )
 from .errors import NumericalError, ValidationError
-from .graphs import Graph, graph_from_dict, graph_to_dict, incidence_rank, parse_edge_list
+from .graphs import (Graph, block_decomposition, graph_from_dict, graph_to_dict,
+                     incidence_rank, parse_edge_list)
 
 
 def run_config(args, **extras) -> dict:
@@ -152,8 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t-rank", type=positive_float, default=None,
                    help="singular-value cutoff override for the incidence rank")
-    p.add_argument("--cap", type=positive_int, default=10_000,
-                   help="cap on the simple cycles the chain search enumerates")
+    p.add_argument("--cap", type=positive_int, default=CYCLE_CAP,
+                   help="cap on the simple cycles the chain search enumerates "
+                        "(default %(default)s)")
 
     p = sub.add_parser("solve", help="multistart equilibrium atlas")
     _add_common(p)
@@ -211,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--phi", required=True,
                            help="vertex map: 'h0,h1,...' or @file")
         else:
-            q.add_argument("--cap", type=positive_int, default=10_000)
+            q.add_argument("--cap", type=positive_int, default=COVERING_CAP,
+                           help="cap on the maps found (default %(default)s)")
         if name == "lift":
             q.add_argument("--coupling", required=True)
             q.add_argument("--point", required=True,
@@ -222,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling")
     p.add_argument("--point")
     p.add_argument("--out")
-    _add_t_zero(p)
+    p.add_argument("--t-zero", type=positive_float,
+                   help=f"zero-eigenvalue scale, with --point (default {ZERO_TOL_SCALE:g})")
 
     p = sub.add_parser("corpus", help="bundled example scenarios")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
@@ -352,15 +358,9 @@ def _cmd_cover(args) -> int:
         phi = parse_values(args.phi, int, "--phi")
         plain = coverings.is_covering(phi, G, H)
         ok, degrees = coverings.is_generalized_covering(phi, G, H)
-        report = {
-            "phi": list(phi),
-            "is_covering": plain,
-            "is_generalized_covering": ok,
-        }
-        if ok:
-            report["fiber_degrees"] = list(degrees)
-            vertex_map = coverings.VertexMap(tuple(phi), degrees)
-            report["external_equitable"] = vertex_map.external_equitable
+        report = {"phi": list(phi), "is_covering": plain, "is_generalized_covering": ok}
+        if ok:  # the map's own dict: the same phi, then its fiber data
+            report.update(coverings.VertexMap(tuple(phi), degrees).to_dict())
         emit(report, args.out)
         return 0
     if args.cover_command == "find":
@@ -382,9 +382,10 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    from .graphs import block_decomposition
     if bool(args.coupling) != bool(args.point):
         raise ValidationError("blocks takes --coupling and --point together")
+    if args.t_zero is not None and not args.point:
+        raise ValidationError("--t-zero: not a blocks flag without --point")
     G = load_graph(args.graph)
     decomp = block_decomposition(G)
     report: dict = {
@@ -396,7 +397,7 @@ def _cmd_blocks(args) -> int:
     if args.point:
         f = load_coupling(args.coupling)
         x = parse_point(args.point, G.n)
-        rep = stability_mod.block_stability(G, f, x, zero_scale=args.t_zero)
+        rep = stability_mod.block_stability(G, f, x, zero_scale=args.t_zero or ZERO_TOL_SCALE)
         report["stability"] = rep.to_dict()
     emit(report, args.out)
     return 0

@@ -1,21 +1,24 @@
 """Graph coverings, generalized coverings, equilibrium lifting, and
 automorphisms.
 
-A vertex surjection phi: V(G) -> V(H) is a covering map when it restricts to
-a bijection on every neighborhood. The generalized form first discards the
-neighbors that share the vertex's own image (their interaction terms cancel)
-and then asks the restriction to be d_i-to-one onto the image neighborhood.
-Equilibria of H lift to equilibria of G through x_i = y_{phi(i)}.
+A vertex surjection phi: V(G) -> V(H) is a generalized covering map when,
+after discarding the neighbors that share the vertex's own image (their
+interaction terms cancel), it maps every neighborhood d_i-to-one onto the
+image neighborhood. ``is_generalized_covering`` is the one neighborhood
+check: a covering map is a generalized covering with every d_i = 1 and no
+edge of G inside a fiber. Equilibria of H lift to equilibria of G through
+x_i = y_{phi(i)}.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import AUTOMORPHISM_CAP, SEARCH_VERTEX_CAP, eq_tolerance
+from .defaults import AUTOMORPHISM_CAP, COVERING_CAP, SEARCH_VERTEX_CAP, eq_tolerance
 from .equilibria import (
     EquilibriumPoint,
     equilibrium_point,
@@ -45,25 +48,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VertexMap:
-    """A vertex map G -> H; fiber degrees are filled in once validated as a
-    generalized covering."""
+    """A generalized covering map G -> H and its fiber degrees d_i, as a
+    successful ``is_generalized_covering`` returns them; build one through
+    ``validated_vertex_map`` or ``find_generalized_coverings``."""
 
     phi: tuple[int, ...]
-    fiber_degrees: tuple[int, ...] | None = None
+    fiber_degrees: tuple[int, ...]
 
     @property
-    def external_equitable(self) -> bool | None:
-        """Whether all fiber degrees are equal; None until validated."""
-        if self.fiber_degrees is None:
-            return None
+    def external_equitable(self) -> bool:
+        """Whether all fiber degrees are equal."""
         return len(set(self.fiber_degrees)) == 1
 
     def to_dict(self) -> dict:
-        out: dict = {"phi": list(self.phi)}
-        if self.fiber_degrees is not None:
-            out["fiber_degrees"] = list(self.fiber_degrees)
-            out["external_equitable"] = self.external_equitable
-        return out
+        return {"phi": list(self.phi), "fiber_degrees": list(self.fiber_degrees),
+                "external_equitable": self.external_equitable}
 
 
 def _check_phi(phi, G: Graph, H: Graph) -> tuple[int, ...]:
@@ -76,47 +75,33 @@ def _check_phi(phi, G: Graph, H: Graph) -> tuple[int, ...]:
 
 
 def is_covering(phi, G: Graph, H: Graph) -> bool:
-    """True iff phi is surjective and bijects every N_G(i) onto N_H(phi(i))."""
+    """True iff phi is surjective and bijects every N_G(i) onto N_H(phi(i)):
+    a generalized covering whose fiber degrees are all 1, with no edge of G
+    inside a fiber."""
     phi = _check_phi(phi, G, H)
-    if set(phi) != set(range(H.n)):
+    if any(phi[j] == phi[k] for j, k in G.edges):
         return False
-    for i in range(G.n):
-        images = [phi[j] for j in G.neighbors[i]]
-        target = set(H.neighbors[phi[i]])
-        if len(images) != len(set(images)):
-            return False
-        if set(images) != target:
-            return False
-    return True
+    ok, degrees = is_generalized_covering(phi, G, H)
+    return ok and all(d == 1 for d in degrees)
 
 
 def is_generalized_covering(phi, G: Graph, H: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Check the d_i-to-one condition after removing same-image neighbors.
 
     Returns (valid, fiber_degrees). Well-definedness (images of the remaining
-    neighbors land in N_H(phi(i))) is checked before counting; failure of
-    either is a plain False.
+    neighbors land in N_H(phi(i))) and equal counts are both required;
+    failure of either is a plain False.
     """
     phi = _check_phi(phi, G, H)
     if set(phi) != set(range(H.n)):
         return False, None
     degrees = []
     for i in range(G.n):
-        rest = [j for j in G.neighbors[i] if phi[j] != phi[i]]
+        counts = Counter(phi[j] for j in G.neighbors[i] if phi[j] != phi[i])
         target = H.neighbors[phi[i]]
-        counts = dict.fromkeys(target, 0)
-        for j in rest:
-            if phi[j] not in counts:
-                return False, None  # image leaves the neighborhood
-        for j in rest:
-            counts[phi[j]] += 1
-        if not target:
-            if rest:
-                return False, None
-            degrees.append(1)
-            continue
-        vals = set(counts.values())
-        if len(vals) != 1 or 0 in vals:
+        # an isolated image takes no neighbors and counts as degree 1
+        vals = {counts[h] for h in target} or {1}
+        if not counts.keys() <= set(target) or len(vals) != 1 or 0 in vals:
             return False, None
         degrees.append(vals.pop())
     return True, tuple(degrees)
@@ -129,7 +114,7 @@ def validated_vertex_map(phi, G: Graph, H: Graph) -> VertexMap:
     return VertexMap(phi=tuple(int(v) for v in phi), fiber_degrees=degrees)
 
 
-def find_generalized_coverings(G: Graph, H: Graph, cap: int = 10_000) -> list[VertexMap]:
+def find_generalized_coverings(G: Graph, H: Graph, cap: int = COVERING_CAP) -> list[VertexMap]:
     """All generalized covering maps G -> H by backtracking, in lexicographic
     order of the assignment vector. Raises SearchBudgetExceededError when more
     than ``cap`` maps exist."""
@@ -172,11 +157,9 @@ def find_generalized_coverings(G: Graph, H: Graph, cap: int = 10_000) -> list[Ve
 
 def lift_equilibrium(phi: VertexMap, y_point: EquilibriumPoint, G: Graph, H: Graph,
                      f: CouplingFunction) -> EquilibriumPoint:
-    """Pull an equilibrium of H back to G through a generalized covering:
+    """Pull an equilibrium of H back to G through a checked covering map:
     x_i = y_{phi(i)}. The interaction sums cancel fiber by fiber, so the lift
     is an equilibrium up to d_i-scaled roundoff."""
-    if phi.fiber_degrees is None:
-        phi = validated_vertex_map(phi.phi, G, H)
     if not y_point.accepted():
         raise NotAnEquilibriumError(
             f"input residual {y_point.residual:.3e} exceeds tolerance")

@@ -36,6 +36,7 @@ MONO_TOL_SCALE = 1e-7
 # enumeration / search budgets
 CYCLE_CAP = 10_000
 AUTOMORPHISM_CAP = 100_000
+COVERING_CAP = 10_000
 SEARCH_VERTEX_CAP = 16
 ZERO_PATTERN_VERTEX_CAP = 20
 

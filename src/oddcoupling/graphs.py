@@ -1,4 +1,5 @@
-"""Immutable simple graphs with oriented edges, their operators, and blocks.
+"""Immutable simple graphs with oriented edges, their operators, and blocks
+with cut vertices from low-links over one depth-first order.
 
 The edge order and the orientation of every edge are fixed when the graph is
 built and never change afterwards: they define the coordinates of edge space,
@@ -8,6 +9,7 @@ dedup lattices) is reproducible across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,74 +174,55 @@ class BlockDecomposition:
 
 
 def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Standard biconnected-component decomposition (iterative Hopcroft-Tarjan)."""
-    disc = [-1] * G.n
-    low = [0] * G.n
-    parent_edge = [-1] * G.n
-    cut = set()
-    blocks_e: list[list[int]] = []
-    stack_e: list[int] = []
-    timer = 0
+    """Blocks and cut vertices from low-links over one depth-first order
+    (Tarjan 1972; Hopcroft & Tarjan 1973), in three flat passes:
 
+    1. a depth-first forest, roots 0..n-1 in order. A vertex takes its parent,
+       depth and place in ``order`` when first popped, so every non-tree edge
+       joins a vertex to one of its ancestors;
+    2. over reversed ``order``, low[v], the least depth that v's subtree
+       reaches through one non-tree edge, passed up to v's parent;
+    3. over ``order``, the tree edge (v, p) opens a block when
+       low[v] >= depth[p] and otherwise joins the block of p's tree edge.
+       Every edge lies in the block of its deeper end's tree edge.
+
+    Blocks are ordered by their smallest edge index; the cut vertices are the
+    vertices of two or more blocks.
+    """
+    depth, parent, order = [-1] * G.n, [-1] * G.n, []
     for root in range(G.n):
-        if disc[root] != -1:
+        stack = [(root, -1)]
+        while stack:
+            v, p = stack.pop()
+            if depth[v] == -1:
+                depth[v], parent[v] = (depth[p] + 1 if p >= 0 else 0), p
+                order.append(v)
+                stack.extend((w, v) for w in G.neighbors[v] if depth[w] == -1)
+    low = depth[:]
+    for v in reversed(order):
+        p = parent[v]
+        low[v] = min([low[v]] + [depth[w] for w in G.neighbors[v] if w != p])
+        if p >= 0:
+            low[p] = min(low[p], low[v])
+    block_of, count = [-1] * G.n, 0   # the block of each vertex's tree edge
+    for v in order:
+        p = parent[v]
+        if p < 0:
             continue
-        root_children = 0
-        # iterative DFS: frame = (vertex, iterator over incident (edge, other))
-        incident = lambda v: [(G.edge_index(v, w)[0], w) for w in G.neighbors[v]]
-        frames = [(root, iter(incident(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while frames:
-            v, it = frames[-1]
-            advanced = False
-            for eidx, w in it:
-                if eidx == parent_edge[v]:
-                    continue
-                if disc[w] == -1:
-                    stack_e.append(eidx)
-                    parent_edge[w] = eidx
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    frames.append((w, iter(incident(w))))
-                    advanced = True
-                    break
-                elif disc[w] < disc[v]:
-                    stack_e.append(eidx)
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                u = frames[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # u closes a block; pop the edge stack down to u-v's edge
-                    blk = []
-                    while stack_e:
-                        eidx = stack_e.pop()
-                        blk.append(eidx)
-                        if eidx == parent_edge[v]:
-                            break
-                    blocks_e.append(blk)
-                    if u != root:
-                        cut.add(u)
-        if root_children > 1:
-            cut.add(root)
-
-    blocks_v = []
-    for blk in blocks_e:
-        verts = set()
-        for eidx in blk:
-            verts.update(G.edges[eidx])
-        blocks_v.append(tuple(sorted(verts)))
-    order = sorted(range(len(blocks_e)), key=lambda i: (min(blocks_e[i]), blocks_v[i]))
+        if low[v] >= depth[p]:
+            block_of[v], count = count, count + 1
+        else:
+            block_of[v] = block_of[p]
+    blocks_e: list[list[int]] = [[] for _ in range(count)]
+    for idx, (j, k) in enumerate(G.edges):
+        blocks_e[block_of[j] if depth[j] > depth[k] else block_of[k]].append(idx)
+    blocks_e.sort()
+    blocks_v = [tuple(sorted({u for idx in blk for u in G.edges[idx]})) for blk in blocks_e]
+    shared = Counter(u for verts in blocks_v for u in verts)
     return BlockDecomposition(
-        blocks=tuple(blocks_v[i] for i in order),
-        block_edges=tuple(tuple(sorted(blocks_e[i])) for i in order),
-        cut_vertices=tuple(sorted(cut)),
+        blocks=tuple(blocks_v),
+        block_edges=tuple(map(tuple, blocks_e)),
+        cut_vertices=tuple(sorted(u for u, k in shared.items() if k > 1)),
     )
 
 

@@ -45,6 +45,22 @@ def random_graph(rng, n_max=10, p=0.35):
     return build_graph(edges, n=n)
 
 
+def brute_force_is_covering(phi, G, H):
+    """Covering map by its definition: phi is onto V(H), and for every
+    vertex i the map j -> phi(j) takes N_G(i) one-to-one onto N_H(phi(i))."""
+    if set(phi) != set(range(H.n)):
+        return False
+    for i in range(G.n):
+        preimage = {}
+        for j in G.neighbors[i]:
+            if phi[j] in preimage:   # two neighbors share an image
+                return False
+            preimage[phi[j]] = j
+        if set(preimage) != set(H.neighbors[phi[i]]):
+            return False
+    return True
+
+
 def elimination_rank(M):
     """Exact rank by Gaussian elimination over the rationals."""
     rows = [[Fraction(int(v)) for v in row] for row in np.asarray(M)]

@@ -237,6 +237,19 @@ def test_blocks_coupling_without_point_exits_2(workdir, capsys):
     assert "--point" in capsys.readouterr().err
 
 
+def test_blocks_t_zero_needs_point(workdir, capsys):
+    code = run(["blocks", "--graph", str(workdir / "edge.txt"), "--t-zero", "1e-6"])
+    assert code == 2
+    assert "--t-zero: not a blocks flag without --point" in capsys.readouterr().err
+    # with --point it is the scale in force, and the default when absent
+    base = ["blocks", "--graph", str(workdir / "edge.txt"),
+            "--coupling", str(workdir / "sin.json"), "--point", "0,0"]
+    outs = [workdir / "default.json", workdir / "explicit.json"]
+    assert run(base + ["--out", str(outs[0])]) == 0
+    assert run(base + ["--t-zero", "1e-07", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_corpus_list(capsys):
     assert run(["corpus", "list"]) == 0
     out = capsys.readouterr().out

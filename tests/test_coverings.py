@@ -1,5 +1,8 @@
 import math
+import random
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ from oddcoupling.errors import (
     ValidationError,
 )
 
-from helpers import random_connected_graph
+from helpers import brute_force_is_covering, random_connected_graph
 
 SIN = make_sine_combination({1: 1.0})
 HEX_TO_TRI = [0, 1, 2, 0, 1, 2]
@@ -60,6 +63,49 @@ def test_edge_collapse_is_not_covering():
     # remaining neighbor map is onto
     ok, degrees = is_generalized_covering([0, 0, 1], G, H)
     assert ok and degrees == (1, 1, 2)
+
+
+@st.composite
+def maps_near_coverings(draw):
+    """(G, H, phi, lift): G a random k-fold lift of a small H and phi its
+    projection (``lift`` True), or G with every vertex joined to the whole
+    fiber next to it (a generalized covering with fiber degrees k), either
+    one possibly spoiled by an edge inside a fiber, a dropped or an extra
+    edge, or two swapped labels."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nH, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    H = build_graph([(a, b) for a in range(nH) for b in range(a + 1, nH)
+                     if rng.random() < 0.6], n=nH)
+    full = k > 1 and draw(st.booleans())
+    edges = set()
+    for a, b in H.edges:
+        perm = rng.sample(range(k), k)
+        edges.update((a * k + s, b * k + t) for s in range(k) for t in range(k)
+                     if full or t == perm[s])
+    phi = [v // k for v in range(nH * k)]
+    spoil = draw(st.sampled_from(["none", "fiber", "drop", "extra", "swap"]))
+    j, l = rng.sample(range(nH * k), 2) if nH * k > 1 else (0, 0)
+    if spoil == "fiber" and k > 1:
+        a = rng.randrange(nH)
+        edges.add((a * k, a * k + 1))
+    elif spoil == "drop" and edges:
+        edges.discard(rng.choice(sorted(edges)))
+    elif spoil == "extra" and j != l and (l, j) not in edges:
+        edges.add((j, l))
+    elif spoil == "swap":
+        phi[j], phi[l] = phi[l], phi[j]
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return build_graph(edges, n=nH * k), H, phi, spoil == "none" and not full
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(maps_near_coverings())
+def test_is_covering_matches_brute_force(case):
+    G, H, phi, lift = case
+    assert is_covering(phi, G, H) == brute_force_is_covering(phi, G, H)
+    if lift:
+        assert is_covering(phi, G, H)
 
 
 def test_k4_collapse_onto_k3_fails():
