@@ -80,6 +80,10 @@ def parse_values(text: str, cast, what: str) -> list:
     """Comma-separated values, or the JSON list in the file named after '@'."""
     vals = read_input(text[1:]) if text.startswith("@") else text.split(",")
     try:
+        for v in vals:   # int and float would read true as 1, and int 1.7 as 1
+            if isinstance(v, bool) or (cast is int and isinstance(v, float)):
+                kind = "an integer" if cast is int else "a number"
+                raise ValueError(f"{json.dumps(v)} is not {kind}")
         return [cast(v) for v in vals]
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} {text!r}: {exc}") from exc
@@ -154,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="homology dimension bounds")
     _add_common(p)
     p.add_argument("--t-rank", type=positive_float, default=None,
-                   help="singular-value cutoff override for the incidence rank")
+                   help="incidence rank as the count of singular values of B above "
+                        "this cutoff (default: n - c, no SVD)")
     p.add_argument("--cap", type=positive_int, default=CYCLE_CAP,
                    help="cap on the simple cycles the chain search enumerates "
                         "(default %(default)s)")

@@ -56,45 +56,20 @@ def _signed_vector(G: Graph, walk) -> CycleVector:
 
 
 def cycle_basis(G: Graph) -> list[CycleVector]:
-    """Fundamental cycles of a spanning forest; m - n + c of them, all in ker B."""
-    parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, edge idx)
-    depth = {}
-    tree_edges = set()
-    for root in range(G.n):
-        if root in depth:
-            continue
-        depth[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in G.neighbors[v]:
-                if w in depth:
-                    continue
-                idx, _ = G.edge_index(v, w)
-                parent[w] = (v, idx)
-                depth[w] = depth[v] + 1
-                tree_edges.add(idx)
-                queue.append(w)
-
+    """Fundamental cycles of ``G.forest``, one per non-tree edge in edge
+    order; m - n + c of them, all in ker B."""
+    F = G.forest   # (parent, tree edge, depth) per vertex
     basis = []
     for idx, (u, v) in enumerate(G.edges):
-        if idx in tree_edges:
+        if idx in (F[u][1], F[v][1]):
             continue
-        # tree path v -> u, then close with edge (u, v)
-        pu, pv = u, v
-        left, right = [pu], [pv]
-        while depth[pu] > depth[pv]:
-            pu = parent[pu][0]
-            left.append(pu)
-        while depth[pv] > depth[pu]:
-            pv = parent[pv][0]
-            right.append(pv)
-        while pu != pv:
-            pu = parent[pu][0]
-            pv = parent[pv][0]
-            left.append(pu)
-            right.append(pv)
-        walk = left[:-1] + list(reversed(right))  # u ... lca ... v
+        # the tree paths from u and from v up to where they meet, the deeper
+        # end climbing first; then close with edge (u, v)
+        left, right = [u], [v]
+        while left[-1] != right[-1]:
+            deeper = left if F[left[-1]][2] >= F[right[-1]][2] else right
+            deeper.append(F[deeper[-1]][0])
+        walk = left[:-1] + right[::-1]  # u ... lca ... v
         basis.append(_signed_vector(G, walk))
     return basis
 

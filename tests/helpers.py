@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from oddcoupling import (
@@ -43,6 +44,28 @@ def random_graph(rng, n_max=10, p=0.35):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
     return build_graph(edges, n=n)
+
+
+@st.composite
+def any_graphs(draw, n_max=12):
+    """Graphs on 0 to ``n_max`` vertices with any edge set, in random edge
+    order and orientation: empty, edgeless, with isolated vertices,
+    disconnected."""
+    n = draw(st.integers(0, n_max))
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return build_graph([(k, j) if flip else (j, k) for (j, k), flip in zip(chosen, flips)], n=n)
+
+
+def shuffled(edges, n, rng):
+    """The same graph with vertices relabelled, edges reordered and every
+    orientation drawn at random."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[j], label[k]) for j, k in edges]
+    rng.shuffle(edges)
+    return build_graph([(k, j) if rng.random() < 0.5 else (j, k) for j, k in edges], n=n)
 
 
 def brute_force_is_covering(phi, G, H):
@@ -203,6 +226,52 @@ def legacy_enumerate_cycles(G, cap):
                     stack.append((w, path + (w,)))
     cycles.sort(key=lambda cv: (len(cv.edges), cv.walk))
     return cycles, False
+
+
+def legacy_cycle_basis(G):
+    """The fundamental cycles as ``homology.cycle_basis`` found them before it
+    read ``Graph.forest``: its own breadth-first walk, with a quadratic
+    ``queue.pop(0)``. Kept verbatim as the oracle for the basis."""
+    parent: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, edge idx)
+    depth = {}
+    tree_edges = set()
+    for root in range(G.n):
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            for w in G.neighbors[v]:
+                if w in depth:
+                    continue
+                idx, _ = G.edge_index(v, w)
+                parent[w] = (v, idx)
+                depth[w] = depth[v] + 1
+                tree_edges.add(idx)
+                queue.append(w)
+
+    basis = []
+    for idx, (u, v) in enumerate(G.edges):
+        if idx in tree_edges:
+            continue
+        # tree path v -> u, then close with edge (u, v)
+        pu, pv = u, v
+        left, right = [pu], [pv]
+        while depth[pu] > depth[pv]:
+            pu = parent[pu][0]
+            left.append(pu)
+        while depth[pv] > depth[pu]:
+            pv = parent[pv][0]
+            right.append(pv)
+        while pu != pv:
+            pu = parent[pu][0]
+            pv = parent[pv][0]
+            left.append(pu)
+            right.append(pv)
+        walk = left[:-1] + list(reversed(right))  # u ... lca ... v
+        basis.append(_signed_vector(G, walk))
+    return basis
 
 
 def legacy_cycle_chain(G, cap):

@@ -17,6 +17,8 @@ st = hypothesis.strategies
 from oddcoupling import block_decomposition, build_graph  # noqa: E402
 from oddcoupling.corpus import ladder_graph  # noqa: E402
 
+from helpers import shuffled  # noqa: E402
+
 
 @st.composite
 def small_graphs(draw):
@@ -40,16 +42,6 @@ def assert_matches_networkx(G):
     got_edges = {frozenset(frozenset(G.edges[i]) for i in blk) for blk in dec.block_edges}
     assert got_edges == expected_edges
     assert dec.cut_vertices == tuple(sorted(nx.articulation_points(H)))
-
-
-def shuffled(edges, n, rng):
-    """The same graph with vertices relabelled, edges reordered and every
-    orientation drawn at random."""
-    label = list(range(n))
-    rng.shuffle(label)
-    edges = [(label[j], label[k]) for j, k in edges]
-    rng.shuffle(edges)
-    return build_graph([(k, j) if rng.random() < 0.5 else (j, k) for j, k in edges], n=n)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

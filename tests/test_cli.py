@@ -359,6 +359,7 @@ def test_continue_rejects_other_mode_flags(workdir, capsys):
     ("--out", None, "No such file"),
     ("--graph", {"n": 2.5, "edges": [[0, 1]]}, "n=2.5 is not an integer"),
     ("--graph", {"n": True, "edges": []}, "n=True is not an integer"),
+    ("--graph", {"n": 3, "edges": [[True, 2], [0, 2]]}, "(True, 2) has non-integer endpoints"),
 ])
 def test_malformed_input_file_exits_2(workdir, capsys, flag, content, message):
     # a file that is not written sits in a missing directory, so that it can
@@ -393,6 +394,33 @@ def test_malformed_phi_exits_2(workdir, capsys):
                 "--target", str(workdir / "tri.json"), "--phi", "0,x,2"])
     assert code == 2
     assert "--phi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("stability", "--point"), ("simulate", "--x0")])
+def test_bool_in_point_file_exits_2(workdir, capsys, monkeypatch, command, flag):
+    # json reads true as a bool, which float would take as 1.0
+    monkeypatch.chdir(workdir)
+    (workdir / "bool.json").write_text("[0, true, 0, 0]")
+    code = run([command, "--graph", "k4.json", "--coupling", "sin.json", flag, "@bool.json"])
+    assert code == 2
+    assert "true is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phi, message", [
+    ("[0, 1.7, 2]", "1.7 is not an integer"),
+    ("[0, true, 2]", "true is not an integer"),
+])
+def test_phi_file_takes_integers_only(workdir, capsys, monkeypatch, phi, message):
+    # int would take 1.7 from a file as 1, and true as 1; inline, "1.7" is
+    # no int literal already
+    monkeypatch.chdir(workdir)
+    (workdir / "tri.json").write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]}))
+    (workdir / "phi.json").write_text(phi)
+    code = run(["cover", "check", "--graph", "tri.json", "--target", "tri.json",
+                "--phi", "@phi.json"])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def run_module(argv, timeout=60):

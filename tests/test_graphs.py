@@ -1,15 +1,21 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddcoupling import (
     block_decomposition,
     build_graph,
     incidence_rank,
 )
+from oddcoupling.cli import run
+from oddcoupling.corpus import path_graph
 from oddcoupling.errors import DuplicateEdgeError, SelfLoopError, ValidationError
 from oddcoupling.graphs import graph_from_dict, graph_to_dict, induced_subgraph, parse_edge_list
 
-from helpers import elimination_rank, random_graph
+from helpers import any_graphs, elimination_rank, random_graph
 
 
 def test_triangle():
@@ -71,12 +77,38 @@ def test_incidence_columns_sum_to_zero():
         assert np.all(G.B.sum(axis=0) == 0)
 
 
-def test_rank_equals_n_minus_c_random():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        G = random_graph(rng)
-        assert incidence_rank(G) == G.n - G.c
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(any_graphs(), st.integers(1, 500).map(path_graph)))
+def test_rank_equals_n_minus_c_random(G):
+    # the singular values at numpy's default cutoff, and exact elimination,
+    # which takes about 1 s on the 500-vertex path, so only up to 100 edges
+    assert incidence_rank(G) == G.n - G.c == np.linalg.matrix_rank(G.B)
+    if G.m <= 100:
         assert elimination_rank(G.B) == G.n - G.c
+
+
+def test_rank_needs_no_svd_without_a_cutoff(monkeypatch, tmp_path):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    G = path_graph(500)
+    assert incidence_rank(G) == 499
+    (tmp_path / "g.json").write_text(json.dumps(graph_to_dict(G)))
+    (tmp_path / "f.json").write_text('{"family": "sine_sum", "terms": {"1": 1.0}}')
+    out = tmp_path / "r.json"
+    assert run(["bounds", "--graph", str(tmp_path / "g.json"),
+                "--coupling", str(tmp_path / "f.json"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["incidence_rank"] == 499
+
+
+def test_rank_with_a_cutoff_counts_singular_values(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    k4 = build_graph([(i, j) for i in range(4) for j in range(i + 1, 4)])
+    # B Bᵀ of K4 is 4I - J: singular values 2, 2, 2 and 0
+    assert incidence_rank(k4, tol=1e-6) == 3 and incidence_rank(k4, tol=2.5) == 0
+    assert len(calls) == 2
 
 
 def test_operators_are_read_only_and_keep_their_layout():
