@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,8 @@ def load_coupling(path: str) -> CouplingFunction:
 def parse_values(text: str, cast, what: str) -> list:
     """Comma-separated values, or the JSON list in the file named after '@'."""
     vals = read_input(text[1:]) if text.startswith("@") else text.split(",")
+    if not isinstance(vals, list):
+        raise ValidationError(f"{what} {text!r}: the file must hold a JSON list")
     try:
         for v in vals:   # int and float would read true as 1, and int 1.7 as 1
             if isinstance(v, bool) or (cast is int and isinstance(v, float)):
@@ -393,12 +396,7 @@ def _cmd_blocks(args) -> int:
         raise ValidationError("--t-zero: not a blocks flag without --point")
     G = load_graph(args.graph)
     decomp = block_decomposition(G)
-    report: dict = {
-        "graph": graph_to_dict(G),
-        "blocks": [list(b) for b in decomp.blocks],
-        "block_edges": [list(e) for e in decomp.block_edges],
-        "cut_vertices": list(decomp.cut_vertices),
-    }
+    report = {"graph": graph_to_dict(G), **asdict(decomp)}
     if args.point:
         f = load_coupling(args.coupling)
         x = parse_point(args.point, G.n)

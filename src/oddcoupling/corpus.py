@@ -11,7 +11,7 @@ suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,8 +106,7 @@ class CheckResult:
     details: dict
 
     def to_dict(self) -> dict:
-        return {"check": self.check, "description": self.description,
-                "passed": self.passed, "details": self.details}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,10 @@ class OddPolynomial(CouplingFunction):
             coeffs.pop()
         if not coeffs or all(c == 0.0 for c in coeffs):
             raise AllZeroError("odd polynomial needs at least one nonzero coefficient")
+        # the Cauchy root bound, which brackets every root, needs each c_k / c_lead
+        if not all(math.isfinite(c / coeffs[-1]) for c in coeffs):
+            raise ValidationError(f"odd_poly leading coefficient {coeffs[-1]!r} is too small: "
+                                  "a ratio c_k / c_lead overflows")
         self.coeffs = tuple(coeffs)
         self._d = tuple((2 * k + 1) * c for k, c in enumerate(coeffs))
         self._d2 = tuple((2 * k + 1) * (2 * k) * c for k, c in enumerate(coeffs))[1:]
@@ -227,10 +231,14 @@ class SineCombination(CouplingFunction):
         self._sin = tuple(zip(ws, (a for _, a in self.terms)))
         self._cos = tuple((w, a * w) for w, a in self._sin)
         self._d2 = tuple(zip(ws, curvatures))
-        for (k, a), (_, aw), (_, c) in zip(self.terms, self._cos, self._d2):
+        for (k, a), (w, aw), (_, c) in zip(self.terms, self._cos, self._d2):
             if not (math.isfinite(aw) and math.isfinite(c)):
                 raise ValidationError(f"{self.family} amplitude {a!r} of harmonic {k} "
                                       "overflows f' or f''")
+            # the primitive's term a (1 - cos wx) / w reaches 2a and 2a / w
+            if not math.isfinite(2.0 * a / w):
+                raise ValidationError(f"{self.family} amplitude {a!r} of harmonic {k} "
+                                      "overflows the primitive")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

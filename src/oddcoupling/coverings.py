@@ -13,7 +13,7 @@ x_i = y_{phi(i)}.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class VertexMap:
         return len(set(self.fiber_degrees)) == 1
 
     def to_dict(self) -> dict:
-        return {"phi": list(self.phi), "fiber_degrees": list(self.fiber_degrees),
-                "external_equitable": self.external_equitable}
+        return {**asdict(self), "external_equitable": self.external_equitable}
 
 
 def _check_phi(phi, G: Graph, H: Graph) -> tuple[int, ...]:

@@ -35,6 +35,8 @@ MONO_TOL_SCALE = 1e-7
 
 # enumeration / search budgets
 CYCLE_CAP = 10_000
+# nodes popped by the cycle-chain branch and bound, over all length bands
+CHAIN_NODE_CAP = 1_000_000
 AUTOMORPHISM_CAP = 100_000
 COVERING_CAP = 10_000
 SEARCH_VERTEX_CAP = 16

@@ -9,7 +9,7 @@ around cycles are identified through the integer lattice {B^T k : k integer}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -371,13 +371,7 @@ class MembershipReport:
                    self.dist_y_from_cocycle_space) <= self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "skew_norm": self.skew_norm,
-            "dist_f_from_cycle_space": self.dist_f_from_cycle_space,
-            "dist_y_from_cocycle_space": self.dist_y_from_cocycle_space,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @lru_cache(maxsize=256)

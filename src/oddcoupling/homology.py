@@ -9,7 +9,8 @@ the cycles of one length. The chain search deepens by cycle length: it
 enumerates one length band at a time, runs a branch and bound over the cycles
 so far, and stops once no longer cycle can lengthen a chain, or at the dual
 bound U = min(dim H1, 1 + (m - g) // (g - 1)), g the girth. Its cycle cap and
-time budget count only the cycles it enumerates.
+time budget count only the cycles it enumerates; ``CHAIN_NODE_CAP`` bounds the
+nodes its branch and bound pops over all bands.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import CYCLE_CAP
+from .defaults import CHAIN_NODE_CAP, CYCLE_CAP
 from .errors import CycleCapExceededError
 from .graphs import Graph
 
@@ -173,13 +174,14 @@ def cycle_chain_number(G: Graph, cap: int = CYCLE_CAP,
     The search stops when best reaches U, when no cycle is longer than the
     band, or when the next band is longer than m - best·(g - 1) or than n.
     Returns (cc, exact); exact is False when the cycles enumerated exceed the
-    cap or the wall-clock budget runs out, in which case cc is a lower bound.
+    cap, the branch and bound pops ``CHAIN_NODE_CAP`` nodes, or the wall-clock
+    budget runs out, in which case cc is a lower bound.
     """
     deadline = time.monotonic() + time_budget if time_budget else None
     dim_h1 = G.m - G.n + G.c
     masks, share_one = [], []
     M = np.zeros((0, G.m), dtype=np.float32)   # 0/1 edge rows of the cycles so far
-    best, g, bound = 1, 0, dim_h1
+    best, g, bound, pops = 1, 0, dim_h1, 0
     for length in range(3, G.n + 1):
         if g and (best >= bound or length > G.m - best * (g - 1)):
             break
@@ -207,8 +209,10 @@ def cycle_chain_number(G: Graph, cap: int = CYCLE_CAP,
             # the branch and bound, over all cycles so far, from the best chain
             stack = [(i, 0, 1) for i in reversed(range(len(masks)))]
             while stack and best < bound:
-                if deadline is not None and time.monotonic() > deadline:
+                if pops == CHAIN_NODE_CAP or (
+                        deadline is not None and time.monotonic() > deadline):
                     return best, False
+                pops += 1
                 last, before, size = stack.pop()
                 best = max(best, size)
                 used = before | masks[last]

@@ -32,8 +32,6 @@ def dumps(obj: Any) -> str:
 
 
 def _write(obj: Any, out: list[str], level: int) -> None:
-    pad = "  " * (level + 1)
-    closing = "  " * level
     if obj is None:
         out.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -44,26 +42,21 @@ def _write(obj: Any, out: list[str], level: int) -> None:
         out.append(_format_float(float(obj)))
     elif isinstance(obj, str):
         out.append(encode_basestring(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        keyed = isinstance(obj, dict)
+        vals = obj.values() if keyed else list(obj)
+        if not vals:
+            out.append("{}" if keyed else "[]")
             return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(pad + encode_basestring(str(key)) + ": ")
+        # a dict item opens with its key head, a sequence item with the bare
+        # pad; a head built as its item is written keeps peak memory down
+        pad, keys = "  " * (level + 1), iter(obj)
+        out.append("{\n" if keyed else "[\n")
+        last = len(vals) - 1
+        for i, val in enumerate(vals):
+            out.append(pad + encode_basestring(str(next(keys))) + ": " if keyed else pad)
             _write(val, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(closing + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad)
-            _write(val, out, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(closing + "]")
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * level + ("}" if keyed else "]"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -14,7 +14,7 @@ integrator, not dynamics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -369,15 +369,7 @@ class BasinReport:
     evidence: str = "empirical evidence"
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "trials": self.trials,
-            "seed": self.seed,
-            "return_fraction": self.return_fraction,
-            "max_excursion": self.max_excursion,
-            "final_distances": list(self.final_distances),
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: float,

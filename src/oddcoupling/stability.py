@@ -69,9 +69,7 @@ class StabilityReport:
         return self.spectrum[0]
 
     def to_dict(self) -> dict:
-        # keys in field order
-        return {**asdict(self), "spectrum": list(self.spectrum),
-                "verdict": self.verdict.value}
+        return asdict(self)
 
 
 def classify(G: Graph, f: CouplingFunction, p: EquilibriumPoint,

@@ -423,6 +423,21 @@ def test_phi_file_takes_integers_only(workdir, capsys, monkeypatch, phi, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["stability", "--graph", "k4.json", "--coupling", "sin.json", "--point"], '"0000"'),
+    (["simulate", "--graph", "k4.json", "--coupling", "sin.json", "--t-end", "1", "--x0"],
+     '{"0": 5, "1": 7, "2": 9, "3": 1}'),
+    (["cover", "check", "--graph", "k4.json", "--target", "k4.json", "--phi"],
+     '{"0": 5, "1": 7, "2": 9, "3": 1}'),
+])
+def test_values_file_must_hold_a_list(workdir, capsys, monkeypatch, argv, content):
+    # a string would be read as its characters, and an object as its keys
+    monkeypatch.chdir(workdir)
+    (workdir / "values.json").write_text(content)
+    assert run(argv + ["@values.json"]) == 2
+    assert "the file must hold a JSON list" in capsys.readouterr().err
+
+
 def run_module(argv, timeout=60):
     """``python -m oddcoupling.cli`` in a fresh interpreter, importing the
     package under test."""
@@ -437,6 +452,19 @@ def test_module_entry_point():
     proc = run_module(["--version"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ocl {oddcoupling.__version__}" == "ocl 0.1.0"
+
+
+def test_bounds_on_the_4_cube_ends_at_the_node_cap(workdir):
+    # the branch and bound finds cc = 8 but cannot prove it below U = 10;
+    # CHAIN_NODE_CAP ends the search after about 3 s on 2 cores, where it
+    # never ended before. A subprocess, so that a hang fails the test
+    edges = [[v, v ^ 1 << b] for v in range(16) for b in range(4) if v < v ^ 1 << b]
+    (workdir / "q4.json").write_text(json.dumps({"n": 16, "edges": edges}))
+    proc = run_module(["bounds", "--graph", str(workdir / "q4.json"),
+                       "--coupling", str(workdir / "sin.json")], timeout=60)
+    assert proc.returncode == 0
+    rep = json.loads(proc.stdout)["report"]
+    assert rep["cc_exact"] is False and rep["cc"] >= 8
 
 
 C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
@@ -456,7 +484,10 @@ def write_extreme_inputs(workdir):
             ("linear_huge.json", {"family": "odd_poly", "coeffs": [5e307]}),
             ("amp_d1.json", {"family": "sine_sum", "terms": {"3": 1e308}}),
             ("amp_d2.json", {"family": "sine_sum", "terms": {"3": 5e307}}),
-            ("spike.json", {"family": "sine_sum", "terms": {"1": 1e308}}),
+            # 2a is finite, as the primitive needs, and 3a is not
+            ("spike.json", {"family": "sine_sum", "terms": {"1": 8e307}}),
+            ("amp_primitive.json", {"family": "sine_sum", "terms": {"1": 1e308}}),
+            ("tiny_lead.json", {"family": "odd_poly", "coeffs": [1.0, 2.2250738585e-313]}),
             ("series_d2.json", {"family": "sine_series", "P": 1e-150, "terms": {"1": 1e10}}),
             ("p_inf.json", {"family": "sine_series", "P": math.inf, "terms": {"1": 1.0}}),
             ("p_tiny.json", {"family": "sine_series", "P": 1e-320, "terms": {"1": 1.0}}),
@@ -519,6 +550,11 @@ def write_extreme_inputs(workdir):
       "--coupling", "cubic.json", "--point", "inf,0,0"], 2,
      "input residual nan exceeds tolerance"),
     (["basin", *P2, "--point", "inf,0"], 2, "residual inf: not an accepted equilibrium"),
+    # finite parameters out of the range the root bound and the primitive need
+    (["bounds", "--graph", "c3.json", "--coupling", "tiny_lead.json"], 2,
+     "odd_poly leading coefficient 2.2250738585e-313 is too small"),
+    (["bounds", "--graph", "c3.json", "--coupling", "amp_primitive.json"], 2,
+     "sine_sum amplitude 1e+308 of harmonic 1 overflows the primitive"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)
@@ -543,8 +579,9 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
     ["simulate", *C3, "--x0=1e200,0,0", "--t-end", "1"],
     ["solve", "--graph", "c3.json", "--coupling", "huge.json"],
     ["continue", *C3, "--point=0,1,0", "--step", "1e300"],
-    # the inputs are finite, and the eigenvalue 2a of the report overflows
-    ["stability", "--graph", "p2.json", "--coupling", "spike.json", "--point", "0,0"],
+    # the inputs and the Hessian's entries 2a and -a are finite, and the
+    # eigenvalue 3a of the report overflows
+    ["stability", "--graph", "c3.json", "--coupling", "spike.json", "--point", "0,0,0"],
 ])
 def test_numerical_failure_prints_only_its_message(workdir, monkeypatch, argv):
     # numpy's overflow warnings must not reach stderr ahead of the message

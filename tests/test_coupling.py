@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from functools import partial
 from pathlib import Path
 
@@ -57,6 +58,22 @@ def test_sine_combination_examples():
         make_sine_combination({1: 0.0})
     with pytest.raises(ValidationError):
         make_sine_combination({0: 1.0})
+
+
+@pytest.mark.parametrize("make, message", [
+    # the Cauchy root bound was inf, and sign_on_positives raised LinAlgError
+    (partial(make_polynomial, [1.0, 2.2250738585e-313]),
+     "odd_poly leading coefficient 2.2250738585e-313 is too small"),
+    # primitive(3.0) was inf: the term a (1 - cos x) reaches 2a
+    (partial(make_sine_combination, {1: 1e308}),
+     "sine_sum amplitude 1e+308 of harmonic 1 overflows the primitive"),
+    # 2a is finite, and 2a / w with w = pi / P is not
+    (partial(make_sine_series, 1e150, {1: 1e160}),
+     "sine_series amplitude 1e+160 of harmonic 1 overflows the primitive"),
+])
+def test_parameters_past_the_root_bound_or_primitive_are_refused(make, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        make()
 
 
 def test_sine_series_validation():
@@ -219,6 +236,17 @@ def old_odd_poly(coeffs, x):
     return [x * horner(coeffs, u), horner(d, u), x * horner(d2, u), u * horner(p, u)], None
 
 
+def polynomials_in_range(coeffs):
+    """[make_polynomial(coeffs)], or [] when a leading coefficient so small
+    that some c_k / c_lead overflows makes the constructor refuse it."""
+    lead = [c for c in coeffs if c][-1]
+    if all(math.isfinite(c / lead) for c in coeffs):
+        return [make_polynomial(coeffs)]
+    with pytest.raises(ValidationError, match="leading coefficient"):
+        make_polynomial(coeffs)
+    return []
+
+
 def same_bits(new, old):
     # bytes tell -0.0 from 0.0, which np.array_equal does not
     assert np.shape(new) == np.shape(old)
@@ -249,7 +277,8 @@ poly_coeffs = st.tuples(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), amplitu
 def test_sine_families_keep_their_old_bits(coeffs, sum_terms, series_terms, P, xs, interval):
     a, b = interval
     for f, old, scan in [
-            (make_polynomial(coeffs), partial(old_odd_poly, coeffs), 64 * (2 * len(coeffs) + 1)),
+            *[(f, partial(old_odd_poly, coeffs), 64 * (2 * len(coeffs) + 1))
+              for f in polynomials_in_range(coeffs)],
             (make_sine_combination(sum_terms), partial(old_sine_sum, sorted(sum_terms.items())),
              int(32 * max(sum_terms) * (b - a) / math.pi) + 32),
             (make_sine_series(P, series_terms),
@@ -330,11 +359,13 @@ small = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
 @hypothesis.example(coeffs=[1.0, 1.0], sum_terms={1: 1.0}, series_terms={1: 1.0}, P=1.0)
 @hypothesis.example(coeffs=[1.0, -2.0, 1.0], sum_terms={2: -1.0}, series_terms={3: 2.0}, P=2.0)
 @hypothesis.example(coeffs=[0.0, -1.0], sum_terms={1: 1.0, 3: 0.5}, series_terms={1: 1.0}, P=1.0)
+@hypothesis.example(coeffs=[1.0, 5e-324], sum_terms={1: 1.0}, series_terms={1: 1.0}, P=1.0)
 def test_flags_match_the_old_classify(coeffs, sum_terms, series_terms, P):
-    for f in (make_polynomial(coeffs), make_sine_combination(sum_terms),
+    # a subnormal leading coefficient, which made the root finder's companion
+    # matrix infinite, is refused by the constructor
+    for f in (*polynomials_in_range(coeffs), make_sine_combination(sum_terms),
               make_sine_series(P, series_terms)):
-        # a tiny leading coefficient puts the probes where f overflows, and a
-        # subnormal one makes the root finder's companion matrix infinite
+        # a tiny leading coefficient puts the probes where f overflows
         with np.errstate(over="ignore", invalid="ignore"):
             assert (outcome(lambda: (f.increasing, f.sign_on_positives))
                     == outcome(lambda: old_flags(f)))

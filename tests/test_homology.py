@@ -25,6 +25,7 @@ from oddcoupling.corpus import (
     two_cycles_shared_edge,
     wheel_graph,
 )
+from oddcoupling import homology
 from oddcoupling.errors import CycleCapExceededError
 
 from helpers import brute_force_cycle_chain, brute_force_simple_cycles, random_connected_graph
@@ -145,6 +146,16 @@ def test_cycle_chain_budget_flag():
     cc, exact = cycle_chain_number(G, time_budget=1e-9)
     assert not exact
     assert cc >= 1
+
+
+def test_cycle_chain_node_cap_counts_every_band(monkeypatch):
+    # K6's branch and bound pops 9,560 nodes over its bands 3-6 to prove
+    # cc = 6; a cap one node short leaves a lower bound
+    monkeypatch.setattr(homology, "CHAIN_NODE_CAP", 9_560)
+    assert cycle_chain_number(complete_graph(6)) == (6, True)
+    monkeypatch.setattr(homology, "CHAIN_NODE_CAP", 9_559)
+    cc, exact = cycle_chain_number(complete_graph(6))
+    assert not exact and 1 <= cc <= 6
 
 
 def test_cycle_chain_budget_covers_enumeration():

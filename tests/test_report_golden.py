@@ -1,4 +1,5 @@
-"""Byte-for-byte report text of `ocl blocks` and `ocl cover`.
+"""Byte-for-byte report text of `ocl blocks`, `cover`, `stability`, `basin`
+and `corpus run`.
 
 Each case runs one command and compares the report it writes with the file
 of the same name under tests/golden/. Regenerate a file only together with a
@@ -22,6 +23,7 @@ INPUTS = {
     "bowtie.json": graph_to_dict(bowtie_graph()),
     "hex.json": {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]},
     "tri.json": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]]},
+    "k4.json": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
     "cover7.json": {"n": 7, "edges": [list(e) for e in COVER7_EDGES]},
     "sin.json": {"family": "sine_sum", "terms": {"1": 1.0}},
 }
@@ -38,14 +40,19 @@ CASES = {
                            "--point", f"0,{math.pi},0"],
     "cover_check_cover7_k3": ["cover", "check", "--graph", "cover7.json",
                               "--target", "tri.json", "--phi", "0,0,1,1,0,2,2"],
+    "stability_k4_splay": ["stability", "--graph", "k4.json", "--coupling", "sin.json",
+                           "--point", ",".join(str(k * math.pi / 2) for k in range(4))],
+    "basin_tri_sync": ["basin", "--graph", "tri.json", "--coupling", "sin.json",
+                       "--point", "0,0,0", "--trials", "3", "--t-end", "5"],
+    "corpus_run_p3_sin": ["corpus", "run", "p3-sin"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_bytes_match_golden(tmp_path, case):
+def test_report_bytes_match_golden(tmp_path, monkeypatch, case):
+    # relative input names, since a report's config echoes its input paths
+    monkeypatch.chdir(tmp_path)
     for name, data in INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(data))
-    out = tmp_path / "report.json"
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in CASES[case]]
-    assert run(argv + ["--out", str(out)]) == 0
-    assert out.read_text() == (GOLDEN / f"{case}.json").read_text()
+        Path(name).write_text(json.dumps(data))
+    assert run(CASES[case] + ["--out", "report.json"]) == 0
+    assert Path("report.json").read_text() == (GOLDEN / f"{case}.json").read_text()
