@@ -140,16 +140,15 @@ class CorpusExample:
     scenario: Callable[[Graph, CouplingFunction], ExampleReport]
 
 
-def _bounds_check(name, G, f, observed_dim):
+def _report(name, prefix, desc, checks, observed_dim, G, f):
+    """The scenario's report: its checks, closed by the check that the
+    observed dimension is within every applicable homology bound."""
     rep = homology.dimension_bounds(G, f)
-    ok = observed_dim is None or observed_dim <= rep.min_applicable()
-    return rep, CheckResult(
-        check=f"{name}-bound-compliance",
-        description="largest observed manifold dimension is within every "
-                     "applicable homology bound",
-        passed=ok,
-        details={"observed": observed_dim, **rep.to_dict()},
-    )
+    checks.append(CheckResult(
+        f"{prefix}-bound-compliance", "largest observed manifold dimension is within "
+        "every applicable homology bound", observed_dim <= rep.min_applicable(),
+        {"observed": observed_dim, **rep.to_dict()}))
+    return ExampleReport(name, desc, tuple(checks), observed_dim, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +192,7 @@ def _scenario_k4_sin(G, f):
         "k4-sin-circle", "a one-dimensional closed curve whose points are all unstable",
         closed_unstable, {"curve_points": curve_len, "seeds": len(curve_seeds)}))
 
-    observed = 1 if curve_seeds else 0
-    bounds, bcheck = _bounds_check("k4-sin", G, f, observed)
-    checks.append(bcheck)
-    return ExampleReport("k4-sin", desc, tuple(checks), observed, bounds)
+    return _report("k4-sin", "k4-sin", desc, checks, 1 if curve_seeds else 0, G, f)
 
 
 def _scenario_c3_cubic(G, f):
@@ -225,10 +221,7 @@ def _scenario_c3_cubic(G, f):
         "c3-cubic-unstable-point", "multistart finds an equilibrium with a "
         "Hessian eigenvalue below -0.1", most_negative < -0.1,
         {"min_eigenvalue": most_negative, "atlas_size": len(atlas.points)}))
-    observed = 1
-    bounds, bcheck = _bounds_check("c3-cubic", G, f, observed)
-    checks.append(bcheck)
-    return ExampleReport("c3-cubic", desc, tuple(checks), observed, bounds)
+    return _report("c3-cubic", "c3-cubic", desc, checks, 1, G, f)
 
 
 def book_family_point(pages: int) -> np.ndarray:
@@ -309,9 +302,7 @@ def _scenario_k4_bifurcation(G, f):
                     {"generic_zero_multiplicity": generic,
                      "at_pi": at_pi.to_dict() if at_pi else None}),
     ]
-    bounds, bcheck = _bounds_check("k4-sin3", G, f, 1)
-    checks.append(bcheck)
-    return ExampleReport("k4-sin3", desc, tuple(checks), 1, bounds)
+    return _report("k4-sin3", "k4-sin3", desc, checks, 1, G, f)
 
 
 def cover7_target() -> Graph:
@@ -355,9 +346,7 @@ def _scenario_cover7(G, f):
     checks.append(CheckResult(
         "cover7-lifted-dim", "a generic lifted point sits on a manifold of "
         "dimension at least 1", info.d >= 1, {"local_dim": info.d}))
-    bounds, bcheck = _bounds_check("cover7", G, f, info.d)
-    checks.append(bcheck)
-    return ExampleReport("cover7-cubic", desc, tuple(checks), info.d, bounds)
+    return _report("cover7-cubic", "cover7", desc, checks, info.d, G, f)
 
 
 def theta_family_point() -> np.ndarray:
@@ -384,9 +373,7 @@ def _scenario_theta(G, f):
                     {"points": len(cloud.points),
                      "singular_flags": list(cloud.singular_flags)}),
     ]
-    bounds, bcheck = _bounds_check("theta", G, f, 2)
-    checks.append(bcheck)
-    return ExampleReport("theta-sin", desc, tuple(checks), 2, bounds)
+    return _report("theta-sin", "theta", desc, checks, 2, G, f)
 
 
 def _scenario_bowtie(G, f):
@@ -418,9 +405,7 @@ def _scenario_bowtie(G, f):
         p.accepted() and d == 2 and direct.verdict == blocks.combined_verdict,
         {"local_dim": d, "direct": direct.verdict.value,
          "combined": blocks.combined_verdict.value}))
-    bounds, bcheck = _bounds_check("bowtie", G, f, d)
-    checks.append(bcheck)
-    return ExampleReport("bowtie-cubic", desc, tuple(checks), d, bounds)
+    return _report("bowtie-cubic", "bowtie", desc, checks, d, G, f)
 
 
 def _scenario_bounds_only(name, desc, expect):

@@ -206,6 +206,15 @@ def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
     return tuple(sorted(cleaned))
 
 
+def _term_sum(table, trig, x):
+    """sum of c trig(w x) over the (w, c) table, elementwise in x."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for w, c in table:
+        out += c * trig(w * x)
+    return out
+
+
 class SineCombination(CouplingFunction):
     """f(x) = sum_k b_k sin(k x); period 2*pi / gcd of the harmonics.
 
@@ -226,11 +235,11 @@ class SineCombination(CouplingFunction):
         self._tabulate(ks, [a * k * k for k, a in self.terms])
 
     def _tabulate(self, ws, curvatures):
-        """Tables (w, a), (w, a*w) and (w, a*w*w) for f, f' and f''; each
+        """Tables (w, a), (w, a*w) and (w, -a*w*w) for f, f' and f''; each
         family rounds its own frequencies and f'' factors."""
         self._sin = tuple(zip(ws, (a for _, a in self.terms)))
         self._cos = tuple((w, a * w) for w, a in self._sin)
-        self._d2 = tuple(zip(ws, curvatures))
+        self._d2 = tuple(zip(ws, (-c for c in curvatures)))
         for (k, a), (w, aw), (_, c) in zip(self.terms, self._cos, self._d2):
             if not (math.isfinite(aw) and math.isfinite(c)):
                 raise ValidationError(f"{self.family} amplitude {a!r} of harmonic {k} "
@@ -239,27 +248,22 @@ class SineCombination(CouplingFunction):
             if not math.isfinite(2.0 * a / w):
                 raise ValidationError(f"{self.family} amplitude {a!r} of harmonic {k} "
                                       "overflows the primitive")
+        # terms each in range can still sum past it; these sums bound |f|,
+        # |f'|, |f''| and the primitive
+        sums = [sum(abs(c) for _, c in table) for table in (self._sin, self._cos, self._d2)]
+        sums.append(sum(2.0 * abs(a) / w for w, a in self._sin))
+        if not all(map(math.isfinite, sums)):
+            raise ValidationError(f"{self.family} amplitudes {dict(self.terms)} sum past "
+                                  "the float range in f, f', f'' or the primitive")
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, a in self._sin:
-            out += a * np.sin(w * x)
-        return out
+        return _term_sum(self._sin, np.sin, x)
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, aw in self._cos:
-            out += aw * np.cos(w * x)
-        return out
+        return _term_sum(self._cos, np.cos, x)
 
     def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, c in self._d2:
-            out -= c * np.sin(w * x)
-        return out
+        return _term_sum(self._d2, np.sin, x)
 
     def primitive(self, x):
         x = np.asarray(x, dtype=float)

@@ -54,6 +54,10 @@ class StepUnderflowError(NumericalError):
     """ODE integrator reduced the step below the representable minimum."""
 
 
+class NonFiniteFieldError(NumericalError):
+    """The vector field turned non-finite along a trajectory."""
+
+
 class BlockMismatchError(NumericalError):
     """Restriction of an equilibrium to a block is not an equilibrium."""
 

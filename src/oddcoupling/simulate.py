@@ -37,7 +37,13 @@ from .equilibria import (
     newton_solve,
     vector_field,
 )
-from .errors import NoConvergenceError, NumericalError, StepUnderflowError, ValidationError
+from .errors import (
+    NoConvergenceError,
+    NonFiniteFieldError,
+    NumericalError,
+    StepUnderflowError,
+    ValidationError,
+)
 from .graphs import Graph
 
 
@@ -67,8 +73,9 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
 
     Stops early once the residual drops below the equilibrium tolerance; the
     endpoint is then polished by Newton and reported as ``converged_to``.
-    A vector field that turns non-finite, or a run that exhausts
-    ``ODE_MAX_STEPS`` step attempts, raises ``NumericalError``.
+    A step that falls below ten ulps of t raises ``StepUnderflowError``, a
+    vector field that turns non-finite ``NonFiniteFieldError``, and a run
+    that exhausts ``ODE_MAX_STEPS`` step attempts ``NumericalError``.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValidationError("t_end must be positive and finite")
@@ -174,7 +181,7 @@ def _rms(v) -> float:
 
 
 def _not_finite(t):
-    return NumericalError(f"the vector field is not finite at t = {t:.6g}")
+    return NonFiniteFieldError(f"the vector field is not finite at t = {t:.6g}")
 
 
 def _settle_gap(abs_x, fx) -> float:
@@ -364,8 +371,8 @@ class BasinReport:
     trials: int
     seed: int
     return_fraction: float      # trials ending within radius/2 of the component
-    max_excursion: float        # from p itself, trajectory-wide, edge space
-    final_distances: tuple[float, ...]
+    max_excursion: float | None   # from p, trajectory-wide, edge space; None if none finished
+    final_distances: tuple[float | None, ...]   # None for a trial that escaped
     evidence: str = "empirical evidence"
 
     def to_dict(self) -> dict:
@@ -380,6 +387,11 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
     Excursion distances are measured in edge space (winding-identified for
     periodic coupling) from p; the return test measures the distance to the
     component of p, approximated by the provided component samples plus p.
+
+    A trial whose trajectory blows up in finite time, so that the step
+    underflows or the field turns non-finite, escaped: it counts as not
+    returned, with no final distance and no excursion. A run out of step
+    attempts is stiffness, not escape, and still raises.
     """
     if not p.accepted():
         raise ValidationError(f"residual {p.residual:.3e}: not an accepted equilibrium")
@@ -392,7 +404,10 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
         if nrm == 0.0:
             return 0.0, 0.0
         x0 = p.x + (radius / nrm) * delta
-        traj = integrate(G, f, x0, t_end=t_end)
+        try:
+            traj = integrate(G, f, x0, t_end=t_end)
+        except (StepUnderflowError, NonFiniteFieldError):
+            return None, None
         ys = traj.states @ G.B
         dists = edge_space_distance(G, ys, p.y, period=f.periodic)
         final_dist = edge_space_distance(G, anchors_y, ys[-1], period=f.periodic)
@@ -400,14 +415,14 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
 
     outcomes = [one_trial(rng.standard_normal(G.n)) for _ in range(trials)]
 
-    excursions = [o[0] for o in outcomes]
+    excursions = [o[0] for o in outcomes if o[0] is not None]
     finals = [o[1] for o in outcomes]
-    returned = sum(1 for d in finals if d <= radius / 2)
+    returned = sum(1 for d in finals if d is not None and d <= radius / 2)
     return BasinReport(
         radius=radius,
         trials=trials,
         seed=seed,
         return_fraction=returned / trials if trials else 0.0,
-        max_excursion=float(max(excursions, default=0.0)),
-        final_distances=tuple(float(d) for d in finals),
+        max_excursion=max(excursions) if excursions else None,
+        final_distances=tuple(finals),
     )

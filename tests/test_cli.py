@@ -178,6 +178,26 @@ def test_basin_subcommand(workdir):
     assert rep["evidence"] == "empirical evidence"
 
 
+@pytest.mark.parametrize("coeffs, point", [
+    ([1.0, -1.0], "0,1"),   # x - x^3 at its unstable equilibrium y = 1
+    ([0.0, -1.0], "0,0"),   # -x^3, whose every perturbation blows up
+])
+def test_basin_counts_escaping_trials(workdir, coeffs, point):
+    # a trajectory that blows up in finite time is a trial that did not
+    # return, with a null final distance, not a failed probe
+    (workdir / "escape.json").write_text(json.dumps({"family": "odd_poly", "coeffs": coeffs}))
+    out = workdir / "b.json"
+    code = run(["basin", "--graph", str(workdir / "edge.txt"),
+                "--coupling", str(workdir / "escape.json"), f"--point={point}",
+                "--radius", "0.1", "--trials", "5", "--t-end", "50", "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())["report"]
+    finals = rep["final_distances"]
+    assert None in finals and rep["return_fraction"] == 0.0
+    finished = [d for d in finals if d is not None]
+    assert rep["max_excursion"] == (max(finished) if finished else None)
+
+
 def test_cover_check_and_find_and_lift(workdir):
     (workdir / "hex.json").write_text(json.dumps(
         {"n": 6, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]}))
@@ -487,6 +507,7 @@ def write_extreme_inputs(workdir):
             # 2a is finite, as the primitive needs, and 3a is not
             ("spike.json", {"family": "sine_sum", "terms": {"1": 8e307}}),
             ("amp_primitive.json", {"family": "sine_sum", "terms": {"1": 1e308}}),
+            ("amp_sum.json", {"family": "sine_sum", "terms": {"1": 8.9e307, "2": 4.4e307}}),
             ("tiny_lead.json", {"family": "odd_poly", "coeffs": [1.0, 2.2250738585e-313]}),
             ("series_d2.json", {"family": "sine_series", "P": 1e-150, "terms": {"1": 1e10}}),
             ("p_inf.json", {"family": "sine_series", "P": math.inf, "terms": {"1": 1.0}}),
@@ -555,6 +576,9 @@ def write_extreme_inputs(workdir):
      "odd_poly leading coefficient 2.2250738585e-313 is too small"),
     (["bounds", "--graph", "c3.json", "--coupling", "amp_primitive.json"], 2,
      "sine_sum amplitude 1e+308 of harmonic 1 overflows the primitive"),
+    # every term in range, their f'' amplitudes summing past it
+    (["bounds", "--graph", "c3.json", "--coupling", "amp_sum.json"], 2,
+     "sine_sum amplitudes {1: 8.9e+307, 2: 4.4e+307} sum past the float range"),
 ])
 def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code, message):
     monkeypatch.chdir(workdir)

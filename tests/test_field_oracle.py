@@ -62,7 +62,7 @@ def states(draw, n):
     return np.full(n, draw(values))
 
 
-@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
 @hypothesis.given(st.data(), graphs(), couplings)
 def test_field_equals_the_matmul_expression(data, G, f):
     x = data.draw(states(G.n))

@@ -1,5 +1,5 @@
-"""Byte-for-byte report text of `ocl blocks`, `cover`, `stability`, `basin`
-and `corpus run`.
+"""Byte-for-byte report text of `ocl blocks`, `cover`, `stability`, `basin`,
+`corpus run` and `corpus run-all`.
 
 Each case runs one command and compares the report it writes with the file
 of the same name under tests/golden/. Regenerate a file only together with a
@@ -26,6 +26,8 @@ INPUTS = {
     "k4.json": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
     "cover7.json": {"n": 7, "edges": [list(e) for e in COVER7_EDGES]},
     "sin.json": {"family": "sine_sum", "terms": {"1": 1.0}},
+    "p2.json": {"n": 2, "edges": [[0, 1]]},
+    "x_minus_x3.json": {"family": "odd_poly", "coeffs": [1.0, -1.0]},
 }
 
 CASES = {
@@ -44,7 +46,11 @@ CASES = {
                            "--point", ",".join(str(k * math.pi / 2) for k in range(4))],
     "basin_tri_sync": ["basin", "--graph", "tri.json", "--coupling", "sin.json",
                        "--point", "0,0,0", "--trials", "3", "--t-end", "5"],
+    # three of the five trials escape: null final distances
+    "basin_p2_escape": ["basin", "--graph", "p2.json", "--coupling", "x_minus_x3.json",
+                        "--point=0,1", "--radius", "0.1", "--trials", "5", "--t-end", "50"],
     "corpus_run_p3_sin": ["corpus", "run", "p3-sin"],
+    "corpus_run_all": ["corpus", "run-all"],
 }
 
 

@@ -111,6 +111,17 @@ def test_basin_unstable_circle_point():
     assert rep.max_excursion > 10 * rep.radius
 
 
+def test_step_budget_still_ends_a_basin_probe(monkeypatch):
+    # running out of step attempts is stiffness, not escape: under x - x^3
+    # the trials at y = 1 that blow up reach the budget before they underflow
+    monkeypatch.setattr(simulate_mod, "ODE_MAX_STEPS", 10)
+    G = path_graph(2)
+    f = make_polynomial([1.0, -1.0])
+    p = equilibrium_point(G, f, np.array([0.0, 1.0]))
+    with pytest.raises(NumericalError, match="10 step attempts"):
+        basin_sample(G, f, p, radius=0.1, trials=5, seed=1729, t_end=50.0)
+
+
 def test_basin_drift_along_stable_component():
     # reversed sine on K4: the circle is now an attracting normally
     # hyperbolic family; perturbed runs come back to the component while
