@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, continuation, corpus, coverings, equilibria, homology, jsonio
+from . import __version__, continuation, coverings, equilibria, homology, jsonio
 from . import simulate as simulate_mod
 from . import stability as stability_mod
 from .coupling import CouplingFunction, coupling_from_dict
@@ -407,6 +407,7 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus   # here: the other commands never pay for its import
     if args.corpus_command == "list":
         for name in sorted(corpus.REGISTRY):
             print(f"{name:18s} {corpus.REGISTRY[name].description}")

@@ -44,7 +44,7 @@ class Graph:
     D : np.ndarray
         0/1 component indicators, shape (c, n). Their rows span the kernel of
         B^T and generate the translational symmetries. B, Bt and D are
-        read-only float arrays.
+        read-only float arrays, built together on first use.
     """
 
     __slots__ = ("n", "edges", "forest", "component_of", "c", "neighbors",
@@ -84,11 +84,9 @@ class Graph:
         self.neighbors = tuple(tuple(sorted(a)) for a in adj)
 
         lookup = {}
-        B = np.zeros((self.n, self.m))
         for idx, (j, k) in enumerate(self.edges):
             lookup[(j, k)] = (idx, 1)
             lookup[(k, j)] = (idx, -1)
-            B[j, idx], B[k, idx] = -1.0, 1.0
         self._edge_lookup = lookup
 
         # a vertex takes its parent, tree edge and depth when first discovered
@@ -104,14 +102,23 @@ class Graph:
                         queue.append(w)
             c += 1
         self.forest, self.component_of, self.c = tuple(forest), tuple(comp), c
+        self._hash = hash((self.n, self.edges))
 
-        D = np.zeros((c, self.n))
-        D[comp, range(self.n)] = 1.0
+    def __getattr__(self, name):
+        # B, Bt and D are built together on first use, then read from their
+        # slots: bounds and blocks never hold the dense n x m incidence matrix
+        if name not in ("B", "Bt", "D"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        B = np.zeros((self.n, self.m))
+        for idx, (j, k) in enumerate(self.edges):
+            B[j, idx], B[k, idx] = -1.0, 1.0
+        D = np.zeros((self.c, self.n))
+        D[list(self.component_of), range(self.n)] = 1.0
         # the bits of every matmul depend on these layouts: B and Bt C-contiguous
         self.B, self.Bt, self.D = B, np.ascontiguousarray(B.T), D
         for op in (self.B, self.Bt, self.D):
             op.setflags(write=False)
-        self._hash = hash((self.n, self.edges))
+        return getattr(self, name)
 
     @property
     def m(self) -> int:

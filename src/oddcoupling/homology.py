@@ -90,6 +90,8 @@ def _closing_distance(G: Graph, root: int, path: tuple[int, ...], w: int,
     when there is no such b within ``limit`` steps."""
     lo = path[1] if len(path) > 1 else w
     ends = {b for b in G.neighbors[root] if b > lo}
+    if not ends:   # no neighbour of the root is left to close on
+        return None
     seen, layer = {*path, w}, [w]
     for d in range(G.n if limit is None else limit + 1):
         if not layer:

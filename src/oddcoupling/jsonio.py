@@ -25,38 +25,31 @@ def _format_float(v: float) -> str:
 
 def dumps(obj: Any) -> str:
     """Serialize dicts/lists/scalars with fixed float formatting."""
-    out: list[str] = []
-    _write(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _encode(obj, 0) + "\n"
 
 
-def _write(obj: Any, out: list[str], level: int) -> None:
+def _encode(obj: Any, level: int) -> str:
+    """The text of ``obj`` at nesting ``level``: a scalar is its own text, a
+    container the join of its items' texts between its brackets."""
+    if isinstance(obj, (float, np.floating)):   # first: most of every report
+        return _format_float(float(obj))
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(encode_basestring(obj))
-    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
-        keyed = isinstance(obj, dict)
-        vals = obj.values() if keyed else list(obj)
-        if not vals:
-            out.append("{}" if keyed else "[]")
-            return
-        # a dict item opens with its key head, a sequence item with the bare
-        # pad; a head built as its item is written keeps peak memory down
-        pad, keys = "  " * (level + 1), iter(obj)
-        out.append("{\n" if keyed else "[\n")
-        last = len(vals) - 1
-        for i, val in enumerate(vals):
-            out.append(pad + encode_basestring(str(next(keys))) + ": " if keyed else pad)
-            _write(val, out, level + 1)
-            out.append(",\n" if i < last else "\n")
-        out.append("  " * level + ("}" if keyed else "]"))
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):   # before int, of which bool is a subclass
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring(str(k))}: {_encode(v, level + 1)}" for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets = "[]"
+        items = [_encode(v, level + 1) for v in obj]
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return brackets
+    pad = "\n" + "  " * level
+    return f"{brackets[0]}{pad}  " + f",{pad}  ".join(items) + pad + brackets[1]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from json.encoder import encode_basestring
 
 import numpy as np
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from oddcoupling import (
 from oddcoupling.continuation import _edge_normalized
 from oddcoupling.defaults import CONTINUATION_STEP, ODE_ATOL, ODE_RTOL, eq_tolerance, rank_tolerance
 from oddcoupling.equilibria import wrap_to_fundamental
+from oddcoupling.jsonio import _format_float
 from oddcoupling.homology import _signed_vector
 
 
@@ -56,6 +58,13 @@ def any_graphs(draw, n_max=12):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     return build_graph([(k, j) if flip else (j, k) for (j, k), flip in zip(chosen, flips)], n=n)
+
+
+def hex_with_pendant_path(reverse=False):
+    """A 6-cycle on 0..5 with the 1,994-vertex path 6..1999 hung from vertex
+    5; with ``reverse``, every label v becomes 1999 - v."""
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(i, i + 1) for i in range(5, 1999)]
+    return build_graph([(1999 - j, 1999 - k) for j, k in edges] if reverse else edges)
 
 
 def shuffled(edges, n, rng):
@@ -403,3 +412,43 @@ def sample_manifold_oracle(G, f, p0, step=CONTINUATION_STEP, budget=400):
         step=step,
         stop="point_budget" if len(points) >= budget else "frontier_exhausted",
     )
+
+
+def legacy_dumps(obj):
+    """The report writer as ``jsonio.dumps`` was before it encoded each value
+    to its own text: one output list passed through the walk, a pad, a value
+    and a separator appended for every item. Kept verbatim as the oracle for
+    report bytes and errors."""
+    out = []
+    _legacy_write(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _legacy_write(obj, out, level):
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(encode_basestring(obj))
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        keyed = isinstance(obj, dict)
+        vals = obj.values() if keyed else list(obj)
+        if not vals:
+            out.append("{}" if keyed else "[]")
+            return
+        pad, keys = "  " * (level + 1), iter(obj)
+        out.append("{\n" if keyed else "[\n")
+        last = len(vals) - 1
+        for i, val in enumerate(vals):
+            out.append(pad + encode_basestring(str(next(keys))) + ": " if keyed else pad)
+            _legacy_write(val, out, level + 1)
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * level + ("}" if keyed else "]"))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

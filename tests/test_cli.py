@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +473,30 @@ def test_module_entry_point():
     proc = run_module(["--version"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"ocl {oddcoupling.__version__}" == "ocl 0.1.0"
+
+
+def test_bounds_and_blocks_on_a_long_path_never_build_the_operators(workdir):
+    # neither command reads B, Bt or D, which a graph builds on first use;
+    # built for every graph, the dense 5000 x 4999 B and Bt peaked at 387 MiB
+    edges = [[i, i + 1] for i in range(4999)]
+    (workdir / "path.json").write_text(json.dumps({"n": 5000, "edges": edges}))
+    out = workdir / "report.json"
+    for argv in (["bounds", "--graph", str(workdir / "path.json"),
+                  "--coupling", str(workdir / "sin.json")],
+                 ["blocks", "--graph", str(workdir / "path.json")]):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, argv[0]
+        rep = json.loads(out.read_text())
+        if argv[0] == "bounds":
+            r = rep["report"]
+            assert (r["dim_H1"], r["cc"], r["cc_exact"], rep["incidence_rank"]) == (0, 0, True, 4999)
+        else:
+            assert len(rep["blocks"]) == 4999 and len(rep["cut_vertices"]) == 4998
 
 
 def test_bounds_on_the_4_cube_ends_at_the_node_cap(workdir):

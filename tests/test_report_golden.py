@@ -1,5 +1,5 @@
-"""Byte-for-byte report text of `ocl blocks`, `cover`, `stability`, `basin`,
-`corpus run` and `corpus run-all`.
+"""Byte-for-byte report text of `ocl bounds`, `blocks`, `cover`, `stability`,
+`basin`, `corpus run` and `corpus run-all`.
 
 Each case runs one command and compares the report it writes with the file
 of the same name under tests/golden/. Regenerate a file only together with a
@@ -17,6 +17,8 @@ from oddcoupling.cli import run
 from oddcoupling.corpus import COVER7_EDGES, bowtie_graph
 from oddcoupling.graphs import graph_to_dict
 
+from helpers import hex_with_pendant_path
+
 GOLDEN = Path(__file__).parent / "golden"
 
 INPUTS = {
@@ -28,9 +30,11 @@ INPUTS = {
     "sin.json": {"family": "sine_sum", "terms": {"1": 1.0}},
     "p2.json": {"n": 2, "edges": [[0, 1]]},
     "x_minus_x3.json": {"family": "odd_poly", "coeffs": [1.0, -1.0]},
+    "hex_pendant.json": graph_to_dict(hex_with_pendant_path()),
 }
 
 CASES = {
+    "bounds_hex_pendant": ["bounds", "--graph", "hex_pendant.json", "--coupling", "sin.json"],
     "blocks_bowtie": ["blocks", "--graph", "bowtie.json"],
     "blocks_bowtie_stability": ["blocks", "--graph", "bowtie.json",
                                 "--coupling", "sin.json", "--point", "0,0,0,0,0"],
