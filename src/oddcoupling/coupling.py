@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .defaults import ROOT_MAX_BISECT, ROOT_TOL
-from .errors import AllZeroError, ValidationError
+from .defaults import ROOT_MAX_BISECT, ROOT_TOL, SCAN_GRID_CAP
+from .errors import AllZeroError, SearchBudgetExceededError, ValidationError
 
 SIGN_NONNEG = "nonneg"
 SIGN_NONPOS = "nonpos"
@@ -81,10 +81,11 @@ class CouplingFunction:
 
     @cached_property
     def sign_on_positives(self) -> str:
-        # f keeps its sign between consecutive breaks: probe each midpoint
-        pts = [0.0, *self._positive_breaks()]
-        vals = (float(self(0.5 * (a + b))) for a, b in zip(pts, pts[1:]))
-        signs = {np.sign(v) for v in vals if abs(v) > 1e-13}
+        # f keeps its sign between consecutive breaks: probe each midpoint,
+        # against _term_scale, the sum of the absolute terms of f there
+        pts = np.array([0.0, *self._positive_breaks()])
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        signs = _clear_signs(self(mids), self._term_scale(mids))
         if signs <= {1.0}:
             return SIGN_NONNEG
         if signs <= {-1.0}:
@@ -156,9 +157,11 @@ class OddPolynomial(CouplingFunction):
         roots = _real_roots(self._d, 0)
         lo = roots.min() - 1.0 if roots.size else -1.0
         hi = roots.max() + 1.0 if roots.size else 1.0
-        probes = [lo, hi] + [0.5 * (roots[i] + roots[i + 1]) for i in range(len(roots) - 1)]
-        vals = [float(self.deriv(x)) for x in probes]
-        return min(vals) > -1e-13 and max(vals) > 0.0
+        probes = np.array([lo, hi, *(0.5 * (roots[:-1] + roots[1:]))])
+        return _clear_signs(self.deriv(probes), _horner(np.abs(self._d), probes * probes)) == {1.0}
+
+    def _term_scale(self, x):
+        return np.abs(x) * _horner(np.abs(self.coeffs), x * x)
 
     def _positive_breaks(self):
         # no root lies past the largest one plus the Cauchy bound
@@ -176,10 +179,19 @@ def _horner(coeffs, u):
     """sum_k coeffs[k] u^k; zeros like u when there are no coefficients."""
     if len(coeffs) < 2:
         return np.full_like(u, coeffs[0] if coeffs else 0.0)
-    acc = coeffs[-1] * u + coeffs[-2]
+    # u * c, not c * u, skips numpy's reflected-scalar path
+    acc = u * coeffs[-1]
+    acc += coeffs[-2]
     for c in reversed(coeffs[:-2]):
-        acc = acc * u + c
+        acc *= u
+        acc += c
     return acc
+
+
+def _clear_signs(vals, scales) -> set[float]:
+    """Signs of the values past 1e-13 times their scale, the sum of the absolute
+    terms they were summed from, so c f and f agree for every c > 0."""
+    return set(np.sign(vals[(np.abs(vals) > 1e-13 * scales) | np.isinf(vals)]).tolist())
 
 
 def _real_roots(coeffs, first: int) -> np.ndarray:
@@ -224,6 +236,8 @@ class SineCombination(CouplingFunction):
 
     P = math.pi
     family = "sine_sum"
+    # a nonconstant periodic f has an f' of mean zero, so f' < 0 somewhere
+    increasing = False
 
     def __init__(self, terms):
         self.terms = _clean_terms(terms)
@@ -276,27 +290,8 @@ class SineCombination(CouplingFunction):
         kmax = max(k for k, _ in self.terms)
         return max(256, int(32 * kmax * (b - a) / self.P) + 32)
 
-    def deriv2_amplitude_bound(self) -> float:
-        return sum(abs(c) for _, c in self._d2)
-
-    @cached_property
-    def increasing(self) -> bool:
-        # certified grid minimisation of f' over one period; the exact amplitude
-        # bound on |f''| controls the variation between grid points. A nonconstant
-        # periodic f has mean-zero f', so its minimum is strictly negative and the
-        # refinement loop terminates on the negative branch.
-        bound2 = self.deriv2_amplitude_bound()
-        xs = np.linspace(0.0, self.periodic, 4097)
-        h = xs[1] - xs[0]
-        for _ in range(12):
-            m = float(np.min(np.asarray(self.deriv(xs))))
-            if m < -1e-13:
-                return False
-            if m - bound2 * h * h / 8.0 > 0.0:
-                return True
-            h *= 0.5
-            xs = np.linspace(0.0, self.periodic, 2 * (xs.size - 1) + 1)
-        return False
+    def _term_scale(self, x):
+        return _term_sum([(w, abs(a)) for w, a in self._sin], lambda t: np.abs(np.sin(t)), x)
 
     def _positive_breaks(self):
         # one period holds every sign f takes
@@ -397,14 +392,15 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
         raise ValidationError(f"need a bounded interval, got {interval!r}")
     n_grid = f.scan_resolution(a, b)
+    if n_grid > SCAN_GRID_CAP:
+        raise SearchBudgetExceededError(f"the zero scan of {f!r} on [{a!r}, {b!r}] needs "
+                                        f"{n_grid} grid cells, past SCAN_GRID_CAP {SCAN_GRID_CAP}")
     xs = np.linspace(a, b, n_grid + 1)
     fs = np.asarray(f(xs))
 
     found: list[float] = []
-    tiny = ROOT_TOL
-
     # roots sitting (numerically) on grid points
-    for i in np.nonzero(np.abs(fs) <= tiny)[0]:
+    for i in np.nonzero(np.abs(fs) <= ROOT_TOL)[0]:
         found.append(float(xs[i]))
 
     # strict sign changes
@@ -415,7 +411,7 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     dfs = np.asarray(f.deriv(xs))
     for i in np.nonzero(dfs[:-1] * dfs[1:] < 0)[0]:
         xstar = _bisect(f.deriv, float(xs[i]), float(xs[i + 1]), float(dfs[i]))
-        if abs(float(f(xstar))) <= tiny:
+        if abs(float(f(xstar))) <= ROOT_TOL:
             found.append(xstar)
 
     # dedup, then decide the sign-change flag from nearby samples

@@ -16,6 +16,8 @@ ZERO_TOL_SCALE = 1e-7
 # absolute tolerance for roots of the coupling function
 ROOT_TOL = 1e-12
 ROOT_MAX_BISECT = 60
+# grid cells a zero scan may ask for; past it the scan ends with exit 3
+SCAN_GRID_CAP = 2 ** 16
 
 # edge-space distance below which two equilibria are considered the same
 DEDUP_DISTANCE = 1e-6

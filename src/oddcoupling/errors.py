@@ -43,7 +43,7 @@ class CycleCapExceededError(NumericalError):
 
 
 class SearchBudgetExceededError(NumericalError):
-    """Backtracking search exceeded its result cap."""
+    """A backtracking search or a zero scan exceeded its budget."""
 
 
 class NoConvergenceError(NumericalError):

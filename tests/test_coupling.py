@@ -1,6 +1,10 @@
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from functools import partial
 from pathlib import Path
 
@@ -185,6 +189,60 @@ def test_classify_flags():
     assert sine.periodic == pytest.approx(2 * math.pi)
 
 
+@pytest.mark.parametrize("f", [
+    make_sine_combination({1: 1e-6, 8192: 1.0}),  # least f' about -8192
+    make_sine_combination({3: 1.0, 12288: 0.01}),  # least f' about -125.9
+    make_sine_series(1.7, {1: 0.8, 3: -0.3}),
+], ids=["k8192", "k12288", "series"])
+def test_periodic_couplings_are_never_increasing(f):
+    # f' has mean zero over a period, so it dips below zero somewhere; a
+    # 4097-point grid over one period met harmonics 8192 and 12288 only at
+    # their peaks and read both sums increasing
+    xs = np.linspace(0.0, f.periodic, 100_003)
+    assert f.deriv(xs).min() < 0.0
+    assert f.increasing is False
+
+
+@pytest.mark.parametrize("coeffs, flags", [
+    ([1.0, -1.0], (False, SIGN_MIXED)),        # x - x^3
+    ([1.0, 1.0], (True, SIGN_NONNEG)),         # x + x^3
+    ([-1.0, -1.0], (False, SIGN_NONPOS)),      # -x - x^3
+    ([1.0, -2.0, 1.0], (False, SIGN_NONNEG)),  # x (x^2 - 1)^2, a double root at 1
+])
+def test_polynomial_flags_ignore_scale(coeffs, flags):
+    # an absolute 1e-13 read 1e-15 (x - x^3) as increasing and nonneg, and
+    # 1e-14 (x - x^3) as nonpos
+    for k in sorted({*range(-300, 301, 10), -15, -14}):
+        f = make_polynomial([10.0 ** k * c for c in coeffs])
+        assert (f.increasing, f.sign_on_positives) == flags, k
+
+
+def test_zero_scan_past_its_cap_ends_at_once():
+    # harmonic 10^5 asks for a scan of 6.4 million cells over one period; in a
+    # subprocess, so that a scan that runs on fails the test
+    src = Path(importlib.util.find_spec("oddcoupling").origin).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = textwrap.dedent("""
+        import time
+        from oddcoupling import build_graph, make_sine_combination, predict_equilibria_class
+        from oddcoupling.errors import SearchBudgetExceededError
+        f = make_sine_combination({1: 1.0, 100000: 1e-3})
+        for flags in (lambda: f.sign_on_positives,
+                      lambda: predict_equilibria_class(build_graph([(0, 1)]), f)):
+            start = time.perf_counter()
+            try:
+                flags()
+            except SearchBudgetExceededError:
+                print(time.perf_counter() - start)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    elapsed = [float(t) for t in proc.stdout.split()]
+    assert len(elapsed) == 2 and max(elapsed) < 1.0, elapsed
+
+
 def test_serialization_round_trip():
     xs = np.linspace(-3, 3, 20)
     for f in ALL_FAMILIES:
@@ -198,15 +256,15 @@ def test_serialization_round_trip():
 
 
 def old_sine_sum(terms, x):
-    """f, f', f'' and the primitive of sum_k a sin(k x), and the bound on
-    |f''|, as the sine_sum family computed them on its own."""
+    """f, f', f'' and the primitive of sum_k a sin(k x), as the sine_sum
+    family computed them on its own."""
     out = [np.zeros_like(x) for _ in range(4)]
     for k, a in terms:
         out[0] += a * np.sin(k * x)
         out[1] += a * k * np.cos(k * x)
         out[2] -= a * k * k * np.sin(k * x)
         out[3] += a * (1.0 - np.cos(k * x)) / k
-    return out, sum(abs(a) * k * k for k, a in terms)
+    return out
 
 
 def old_sine_series(P, terms, x):
@@ -219,7 +277,7 @@ def old_sine_series(P, terms, x):
         out[1] += a * w * np.cos(w * x)
         out[2] -= a * w ** 2 * np.sin(w * x)
         out[3] += a * (1.0 - np.cos(w * x)) / w
-    return out, sum(abs(a) * (m * math.pi / P) ** 2 for m, a in terms)
+    return out
 
 
 def old_odd_poly(coeffs, x):
@@ -237,7 +295,7 @@ def old_odd_poly(coeffs, x):
     d = [(2 * k + 1) * c for k, c in enumerate(coeffs)]
     d2 = [(2 * k + 1) * (2 * k) * c for k, c in enumerate(coeffs)][1:]
     p = [c / (2 * k + 2) for k, c in enumerate(coeffs)]
-    return [x * horner(coeffs, u), horner(d, u), x * horner(d2, u), u * horner(p, u)], None
+    return [x * horner(coeffs, u), horner(d, u), x * horner(d2, u), u * horner(p, u)]
 
 
 def polynomials_in_range(coeffs):
@@ -289,11 +347,8 @@ def test_sine_families_keep_their_old_bits(coeffs, sum_terms, series_terms, P, x
              partial(old_sine_series, P, sorted(series_terms.items())),
              int(32 * max(series_terms) * (b - a) / P) + 32)]:
         for x in (np.array(xs), np.array(xs[0])):
-            values, bound = old(x)
-            for name, want in zip(EVALUATIONS, values):
+            for name, want in zip(EVALUATIONS, old(x)):
                 same_bits(getattr(f, name)(x), want)
-        if bound is not None:
-            assert f.deriv2_amplitude_bound() == bound
         assert f.scan_resolution(a, b) == max(256, scan)
 
 
@@ -306,6 +361,12 @@ def old_flags(f):
             return np.array([])
         roots = np.polynomial.polynomial.polyroots(coeffs)
         return np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
+
+    def term_scale(x):
+        if f.periodic is None:
+            return abs(x) * np.polynomial.polynomial.polyval(x * x, np.abs(f.coeffs))
+        ws = [k if f.family == "sine_sum" else k * math.pi / f.P for k, _ in f.terms]
+        return sum(abs(a) * abs(np.sin(w * x)) for w, (_, a) in zip(ws, f.terms))
 
     if f.periodic is None:
         d = np.zeros(2 * len(f.coeffs) - 1)
@@ -324,7 +385,7 @@ def old_flags(f):
         probes = [0.5 * min(grid)] + [0.5 * (grid[i] + grid[i + 1])
                                       for i in range(len(grid) - 1)] + [hi]
     else:
-        period, bound2 = f.periodic, f.deriv2_amplitude_bound()
+        period, bound2 = f.periodic, sum(abs(c) for _, c in f._d2)  # the bound on |f''|
         xs = np.linspace(0.0, period, 4097)
         h = xs[1] - xs[0]
         increasing = False
@@ -337,7 +398,10 @@ def old_flags(f):
             xs = np.linspace(0.0, period, 2 * (xs.size - 1) + 1)
         pts = [0.0] + zeros_in(f, (1e-9, period - 1e-9)).values() + [period]
         probes = [0.5 * (pts[i] + pts[i + 1]) for i in range(len(pts) - 1)]
-    signs = {np.sign(v) for v in (float(f(x)) for x in probes) if abs(v) > 1e-13}
+    # a probe has a sign when it clears 1e-13 times the sum of the absolute
+    # terms of f there (an absolute 1e-13 read 1e-175 sin x as nonneg)
+    signs = {np.sign(v) for v, s in ((float(f(x)), term_scale(x)) for x in probes)
+             if abs(v) > 1e-13 * s or np.isinf(v)}
     sign = SIGN_NONNEG if signs <= {1.0} else SIGN_NONPOS if signs <= {-1.0} else SIGN_MIXED
     return increasing, sign
 
