@@ -59,6 +59,11 @@ class CouplingFunction:
     def __call__(self, x):
         raise NotImplementedError
 
+    def _evaluate(self, x):
+        """f at a float64 array, which it need not convert: the evaluator
+        that the vector field binds."""
+        raise NotImplementedError
+
     def deriv(self, x):
         raise NotImplementedError
 
@@ -99,7 +104,7 @@ class CouplingFunction:
 class OddPolynomial(CouplingFunction):
     """f(x) = sum_k c_k x^(2k+1), stored by the odd-power coefficients c_k.
 
-    The coefficients of f', f'' / x and the primitive / x^2, each a
+    The coefficients of f / x, f', f'' / x and the primitive / x^2, each a
     polynomial in x^2, are tabulated once by the constructor.
     """
 
@@ -125,10 +130,27 @@ class OddPolynomial(CouplingFunction):
             if not all(map(math.isfinite, derived)):
                 raise ValidationError(f"odd_poly coefficient {coeffs[k]!r} of x^{2 * k + 1} "
                                       "overflows f' or f''")
+        # f's Horner table, highest power first: c_K, then c_(K-1) ... c_1,
+        # then c_0, as np.float64, which numpy multiplies faster than a float
+        c = [np.float64(c) for c in reversed(coeffs)]
+        self._lead, self._mid, self._c0 = c[0], tuple(c[1:-1]), c[-1]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return x * _horner(self.coeffs, x * x)
+        return self._evaluate(np.asarray(x, dtype=float))
+
+    def _evaluate(self, x):
+        """f at a float64 array x, unconverted: x p(x^2) in _horner's order
+        of operations, in one frame."""
+        if len(self.coeffs) == 1:
+            return x * self._c0
+        u = x * x
+        acc = u * self._lead
+        for c in self._mid:
+            acc += c
+            acc *= u
+        acc += self._c0
+        acc *= x
+        return acc
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
@@ -273,6 +295,8 @@ class SineCombination(CouplingFunction):
     def __call__(self, x):
         return _term_sum(self._sin, np.sin, x)
 
+    _evaluate = __call__
+
     def deriv(self, x):
         return _term_sum(self._cos, np.cos, x)
 
@@ -293,9 +317,14 @@ class SineCombination(CouplingFunction):
     def _term_scale(self, x):
         return _term_sum([(w, abs(a)) for w, a in self._sin], lambda t: np.abs(np.sin(t)), x)
 
+    @cached_property
+    def period_zeros(self) -> ZeroSet:
+        """The roots of f in one period past the forced root at 0, which hold
+        every sign f takes; scanned once per coupling."""
+        return zeros_in(self, (1e-9, self.periodic - 1e-9))
+
     def _positive_breaks(self):
-        # one period holds every sign f takes
-        return zeros_in(self, (1e-9, self.periodic - 1e-9)).values() + [self.periodic]
+        return self.period_zeros.values() + [self.periodic]
 
     def to_dict(self):
         return {"family": self.family, "terms": {str(k): a for k, a in self.terms}}
@@ -386,7 +415,10 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
 
     Sign-change roots are isolated by bracketing on a family-sized grid and
     refined by bisection; tangential roots (no sign change) are recovered as
-    extrema of f, i.e. sign-change roots of f', at which |f| < ROOT_TOL.
+    extrema of f, i.e. sign-change roots of f', at which f vanishes. f
+    vanishes at x when |f(x)| is at most ROOT_TOL times _term_scale(x), the
+    sum of the absolute terms of f there, so that c f and f have the same
+    roots for every c > 0; ROOT_TOL is also the bisection width in x.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
@@ -400,18 +432,18 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
 
     found: list[float] = []
     # roots sitting (numerically) on grid points
-    for i in np.nonzero(np.abs(fs) <= ROOT_TOL)[0]:
+    for i in np.nonzero(np.abs(fs) <= ROOT_TOL * f._term_scale(xs))[0]:
         found.append(float(xs[i]))
 
-    # strict sign changes
-    for i in np.nonzero((fs[:-1] * fs[1:] < 0))[0]:
+    # strict sign changes, from the signs: a product of tiny values underflows
+    for i in np.nonzero(_sign_changes(fs))[0]:
         found.append(_bisect(f, float(xs[i]), float(xs[i + 1]), float(fs[i])))
 
     # tangential roots: zeros of f' where f itself vanishes
     dfs = np.asarray(f.deriv(xs))
-    for i in np.nonzero(dfs[:-1] * dfs[1:] < 0)[0]:
+    for i in np.nonzero(_sign_changes(dfs))[0]:
         xstar = _bisect(f.deriv, float(xs[i]), float(xs[i + 1]), float(dfs[i]))
-        if abs(float(f(xstar))) <= ROOT_TOL:
+        if abs(float(f(xstar))) <= ROOT_TOL * float(f._term_scale(xstar)):
             found.append(xstar)
 
     # dedup, then decide the sign-change flag from nearby samples
@@ -428,5 +460,11 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     for r in merged:
         left = float(f(max(r - delta, a - delta)))
         right = float(f(min(r + delta, b + delta)))
-        roots.append(Root(value=r, sign_change=(left * right < 0)))
+        roots.append(Root(value=r, sign_change=(left < 0 < right or right < 0 < left)))
     return ZeroSet(interval=(a, b), roots=tuple(roots))
+
+
+def _sign_changes(vals) -> np.ndarray:
+    """Whether each pair of consecutive values has opposite strict signs."""
+    signs = np.sign(vals)
+    return signs[:-1] * signs[1:] < 0

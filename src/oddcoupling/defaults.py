@@ -13,7 +13,8 @@ EQ_TOL_SCALE = 1e-9
 # zero-eigenvalue bucket: |lambda| <= ZERO_TOL_SCALE * max(1, |lambda|_max)
 ZERO_TOL_SCALE = 1e-7
 
-# absolute tolerance for roots of the coupling function
+# roots of the coupling function: |f| at most ROOT_TOL times the sum of the
+# absolute terms of f there, and the bisection width in x
 ROOT_TOL = 1e-12
 ROOT_MAX_BISECT = 60
 # grid cells a zero scan may ask for; past it the scan ends with exit 3

@@ -46,10 +46,22 @@ def vector_field(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        # the BLAS matrix-vector product of np.matmul, without its ufunc
-        # dispatch: the integrator makes millions of these calls
-        return -G.B.dot(f(G.Bt.dot(x)))
+        return bound_field(G, f)(x)
     return -_rowwise(G.B, np.asarray(f(_rowwise(G.Bt, x))))
+
+
+def bound_field(G: Graph, f: CouplingFunction):
+    """The single-state field x -> -B f(B^T x) of ``vector_field``, with G's
+    products and f's evaluator looked up once; it writes into ``out`` when
+    given one. The integrator makes millions of these calls.
+    """
+    # ndarray.dot is the BLAS matrix-vector product of np.matmul, without
+    # its ufunc dispatch
+    Bdot, Btdot, evaluate = G.B.dot, G.Bt.dot, f._evaluate
+
+    def field(x, out=None):
+        return np.negative(Bdot(evaluate(Btdot(x))), out=out)
+    return field
 
 
 def energy(G: Graph, f: CouplingFunction, x):
@@ -426,12 +438,12 @@ def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPredict
     if G.m < 1:
         raise ValidationError("prediction needs a graph with at least one edge")
     if f.periodic is not None:
-        lo, hi = 1e-9, f.periodic - 1e-9
+        zs = f.period_zeros
     else:
-        lo, hi = 1e-9, f.cauchy_root_bound() + 1.0
+        zs = zeros_in(f, (1e-9, f.cauchy_root_bound() + 1.0))
     # roots below 1e-6 are the forced root at the origin leaking into the
     # scan window (every odd f vanishes at 0)
-    roots = tuple(r for r in zeros_in(f, (lo, hi)).values() if r > 1e-6)
+    roots = tuple(r for r in zs.values() if r > 1e-6)
     flags_sign = f.sign_on_positives
     if not roots:
         kind = EquilibriaClass.ONLY_ZERO
@@ -443,5 +455,5 @@ def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPredict
         kind=kind,
         global_convergence=f.increasing,
         nonzero_roots=roots,
-        scanned=(lo, hi),
+        scanned=zs.interval,
     )

@@ -30,6 +30,7 @@ from .defaults import (
 )
 from .equilibria import (
     EquilibriumPoint,
+    bound_field,
     canonical_form,
     edge_space_distance,
     energy,
@@ -188,10 +189,10 @@ def _settle_gap(abs_x, fx) -> float:
     """The settle event: ||F(x)|| minus the equilibrium tolerance, falling
     through zero as the flow settles. Takes |x|, which the stepper has at
     hand; EQ_TOL_SCALE * (1 + max |x|) is eq_tolerance(x), bit for bit."""
-    return math.sqrt(fx.dot(fx)) - EQ_TOL_SCALE * (1.0 + float(abs_x.max(initial=0.0)))
+    return math.sqrt(fx.dot(fx)) - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
 
 
-def _initial_step(G, f, x0, f0, t_end, rtol, atol):
+def _initial_step(field, x0, f0, t_end, rtol, atol):
     """Hairer, Norsett and Wanner's starting step, as RK45's
     ``select_initial_step`` computes it for an error estimator of order 4."""
     scale = atol + np.abs(x0) * rtol
@@ -202,7 +203,7 @@ def _initial_step(G, f, x0, f0, t_end, rtol, atol):
                              "error scale atol + rtol |x0| is not finite")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = vector_field(G, f, x0 + h0 * f0)
+    f1 = field(x0 + h0 * f0)
     if not np.isfinite(f1).all():
         raise _not_finite(h0)
     d2 = _rms((f1 - f0) / scale) / h0
@@ -221,21 +222,27 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
     below ten ulps of t. The settle test reuses each step's last stage,
     which is F at the new state.
     """
+    field = bound_field(G, f)
     # solve_ivp lifts an rtol below 100 eps to that floor, and so does this
     rtol = max(rtol, 100 * _EPS)
-    fy = vector_field(G, f, x0)
+    fy = field(x0)
     if not np.isfinite(fy).all():
         raise _not_finite(0.0)
-    h_abs = _initial_step(G, f, x0, fy, t_end, rtol, atol)
+    h_abs = _initial_step(field, x0, fy, t_end, rtol, atol)
     t, y, abs_y = 0.0, x0, np.abs(x0)
     gap = _settle_gap(abs_y, fy)
     ts, ys = [t], [y]
     root_n = x0.size ** 0.5
+    # numpy multiplies an array by an np.float64 faster than by a float
+    rtol, atol = np.float64(rtol), np.float64(atol)
+    # every stage is written in place into its row of K: K[0] is F at y,
+    # K[6] F at the step's new state
     K = np.empty((7, x0.size))
-    # views of K for the stage sums np.dot(K[:s].T, a[:s]), the solution
-    # update and the error estimate, made once; their .dot methods are
-    # np.dot without its dispatch
-    stages = [(K[:s].T, _A[s, :s]) for s in range(1, 6)]
+    K[0], f_new = fy, K[-1]
+    # the stage sums np.dot(K[:s].T, a[:s]) with the rows they fill, and the
+    # views for the solution update and the error estimate, made once; their
+    # .dot methods are np.dot without its dispatch
+    stages = [(K[:s].T.dot, _A[s, :s], K[s]) for s in range(1, 6)]
     KT_head, KT = K[:-1].T, K.T
     attempts = 0
     while True:
@@ -253,19 +260,28 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = fy
-            for s, (k, a) in enumerate(stages, start=1):
-                K[s] = vector_field(G, f, y + k.dot(a) * h)
-            y_new = y + h * KT_head.dot(_B)
-            f_new = vector_field(G, f, y_new)
-            K[-1] = f_new
+            # y + h * sum and the error estimate, formed in place
+            h64 = np.float64(h)
+            for dot, a, row in stages:
+                z = dot(a)
+                z *= h64
+                z += y
+                field(z, row)
+            y_new = KT_head.dot(_B)
+            y_new *= h64
+            y_new += y
+            field(y_new, f_new)
             if not np.isfinite(K).all():
                 s = int(np.argmin(np.isfinite(K).all(axis=1)))
                 raise _not_finite(t + _C[s] * h if s < 6 else t + h)
             abs_y_new = np.abs(y_new)
-            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+            scale = np.maximum(abs_y, abs_y_new)
+            scale *= rtol
+            scale += atol
             # _rms, with the root of the size taken once
-            err = KT.dot(_E) * h / scale
+            err = KT.dot(_E)
+            err *= h64
+            err /= scale
             error_norm = math.sqrt(err.dot(err)) / root_n
             if error_norm < 1:
                 if error_norm == 0:
@@ -280,9 +296,10 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
             rejected = True
 
         t_old, y_old = t, y
-        t, y, fy, abs_y = t_new, y_new, f_new, abs_y_new
-        gap_new = _settle_gap(abs_y, fy)
+        t, y, abs_y = t_new, y_new, abs_y_new
+        gap_new = _settle_gap(abs_y, f_new)
         if gap >= 0 and gap_new <= 0:
+            # K[0] still holds F at y_old, which the dense output needs
             Q = KT.dot(_P)
             h = t - t_old
 
@@ -292,12 +309,13 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
 
             def event(tau):
                 x = dense(tau)
-                return _settle_gap(np.abs(x), vector_field(G, f, x))
+                return _settle_gap(np.abs(x), field(x))
 
             root = _brentq(event, t_old, t, 4 * _EPS, 4 * _EPS)
             ts.append(root)
             ys.append(dense(root))
             return np.array(ts), np.vstack(ys), 1
+        K[0] = f_new
         gap = gap_new
         ts.append(t)
         ys.append(y)

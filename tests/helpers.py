@@ -452,3 +452,46 @@ def _legacy_write(obj, out, level):
         out.append("  " * level + ("}" if keyed else "]"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def legacy_horner(coeffs, u):
+    """sum_k coeffs[k] u^k as odd_poly summed it before it kept np.float64
+    tables: a slice and ``reversed`` on every call. Kept verbatim, with the
+    methods below, as the oracle for the family's bits and result types."""
+    if len(coeffs) < 2:
+        return np.full_like(u, coeffs[0] if coeffs else 0.0)
+    # u * c, not c * u, skips numpy's reflected-scalar path
+    acc = u * coeffs[-1]
+    acc += coeffs[-2]
+    for c in reversed(coeffs[:-2]):
+        acc *= u
+        acc += c
+    return acc
+
+
+class LegacyOddPolynomial:
+    """f, f', f'' and the primitive of sum_k c_k x^(2k+1) over tuples of
+    floats, as ``OddPolynomial`` computed them with ``legacy_horner``."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        self._d = tuple((2 * k + 1) * c for k, c in enumerate(coeffs))
+        self._d2 = tuple((2 * k + 1) * (2 * k) * c for k, c in enumerate(coeffs))[1:]
+        self._p = tuple(c / (2 * k + 2) for k, c in enumerate(coeffs))
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return x * legacy_horner(self.coeffs, x * x)
+
+    def deriv(self, x):
+        x = np.asarray(x, dtype=float)
+        return legacy_horner(self._d, x * x)
+
+    def deriv2(self, x):
+        x = np.asarray(x, dtype=float)
+        return x * legacy_horner(self._d2, x * x)
+
+    def primitive(self, x):
+        x = np.asarray(x, dtype=float)
+        u = x * x
+        return u * legacy_horner(self._p, u)

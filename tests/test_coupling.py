@@ -24,6 +24,8 @@ from oddcoupling import (
 from oddcoupling.coupling import SIGN_MIXED, SIGN_NONNEG, SIGN_NONPOS
 from oddcoupling.errors import AllZeroError, ValidationError
 
+from helpers import LegacyOddPolynomial
+
 ALL_FAMILIES = [
     make_polynomial([-1.0, 1.0]),                  # x^3 - x
     make_polynomial([1.0, 0.5, -0.25]),
@@ -350,6 +352,48 @@ def test_sine_families_keep_their_old_bits(coeffs, sum_terms, series_terms, P, x
             for name, want in zip(EVALUATIONS, old(x)):
                 same_bits(getattr(f, name)(x), want)
         assert f.scan_resolution(a, b) == max(256, scan)
+
+
+# signed zeros, subnormals, infinities, nan, and values whose powers overflow
+SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, math.nan,
+                  0.7, -1.3, 1e80, -1e200]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [2.0],
+    [-1.0, 1.0],
+    [1.0, -0.0, 0.5],
+    [0.0, 1.0, -2.0, 0.25],
+    [0.3, -1.1, -0.0, 2.5, -0.7],
+    [5e-324, 1.0],
+    [1e300, -1e-300, 3.0],
+])
+def test_odd_poly_keeps_the_legacy_bits_and_types(coeffs):
+    f = make_polynomial(coeffs)
+    old = LegacyOddPolynomial(f.coeffs)
+    xs = np.array(SPECIAL_POINTS)
+    arrays = [xs, xs.reshape(3, 4), xs[::-2], *map(np.array, SPECIAL_POINTS)]
+    with np.errstate(all="ignore"):
+        for x in [*arrays, list(SPECIAL_POINTS), *SPECIAL_POINTS]:
+            for name in EVALUATIONS:
+                new, want = getattr(f, name)(x), getattr(old, name)(x)
+                assert type(new) is type(want), (name, x)
+                same_bits(new, want)
+        # the field's evaluator takes float64 arrays as they are
+        for x in arrays:
+            new, want = f._evaluate(x), old(x)
+            assert type(new) is type(want)
+            same_bits(new, want)
+
+
+def test_zero_scan_ignores_scale():
+    # against an absolute tolerance, every grid point of a tiny f was a root
+    assert len(zeros_in(make_polynomial([1e-15, -1e-15]), (1e-9, 3.0)).roots) == 1
+    for interval in [(1e-9, 3.0), (-2.0, 2.0), (-3.1, 2.7)]:
+        want = zeros_in(make_polynomial([1.0, -1.0]), interval).roots
+        for k in range(-200, 201):
+            c = 10.0 ** k
+            assert zeros_in(make_polynomial([c, -c]), interval).roots == want, k
 
 
 def old_flags(f):

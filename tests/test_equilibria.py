@@ -13,12 +13,14 @@ from oddcoupling import (
     hessian,
     make_polynomial,
     make_sine_combination,
+    make_sine_series,
     membership_tests,
     multistart_atlas,
     newton_solve,
     predict_equilibria_class,
     vector_field,
     zero_pattern_equilibria,
+    zeros_in,
 )
 from oddcoupling.corpus import (
     complete_graph,
@@ -27,7 +29,7 @@ from oddcoupling.corpus import (
     path_graph,
     star_graph,
 )
-from oddcoupling import equilibria
+from oddcoupling import coupling, equilibria
 from oddcoupling.defaults import DEDUP_DISTANCE
 from oddcoupling.equilibria import EquilibriaClass, newton_batch, points_equivalent
 from oddcoupling.errors import NoConvergenceError, NotARootError, ValidationError
@@ -230,6 +232,34 @@ def test_predict_classes():
     assert predict_equilibria_class(G, SIN).kind == EquilibriaClass.NO_CONCLUSION
     with pytest.raises(ValidationError):
         predict_equilibria_class(build_graph([], n=2), SIN)
+
+
+def test_prediction_of_a_tiny_sine_has_one_witness():
+    # against an absolute tolerance, each of 256 grid points read as a root
+    f = make_sine_series(math.pi, {1: 2.35e-175})
+    rep = predict_equilibria_class(path_graph(2), f)
+    assert len(rep.nonzero_roots) == 1
+    assert abs(rep.nonzero_roots[0] - math.pi) < 1e-9
+
+
+@pytest.mark.parametrize("make", [lambda: make_sine_combination({1: 1.0, 3: -0.5}),
+                                  lambda: make_sine_series(1.7, {1: 0.8, 3: -0.3})],
+                         ids=["sine_sum", "sine_series"])
+def test_prediction_scans_a_period_once(monkeypatch, make):
+    # the prediction and sign_on_positives share one scan of the period; a
+    # fresh coupling, since the scan is cached on it
+    f, calls = make(), []
+
+    def counted(*args):
+        calls.append(args)
+        return zeros_in(*args)
+
+    monkeypatch.setattr(coupling, "zeros_in", counted)
+    monkeypatch.setattr(equilibria, "zeros_in", counted)
+    predict_equilibria_class(path_graph(2), f)
+    assert len(calls) == 1
+    predict_equilibria_class(cycle_graph(3), f)
+    assert len(calls) == 1
 
 
 def test_winding_identification():

@@ -1,9 +1,10 @@
 """The single-state vector field against the expression it replaced,
--np.matmul(B, f(np.matmul(B^T, x))), and against the stacked field: equal
-bit for bit, signed zeros included.
+-np.matmul(B, f(np.matmul(B^T, x))), against the stacked field and against
+the integrator's bound field: equal bit for bit, signed zeros included.
 
-The integrator oracle cannot see a change here: its scipy run calls the
-program's own ``vector_field``. hypothesis serves as the generator only.
+The integrator evaluates the flow through ``bound_field``, while the scipy
+run of the integrator oracle calls ``vector_field``; the two are compared
+here directly. hypothesis serves as the generator only.
 """
 
 import math
@@ -21,6 +22,7 @@ from oddcoupling import (  # noqa: E402
     make_sine_series,
     vector_field,
 )
+from oddcoupling.equilibria import bound_field  # noqa: E402
 
 
 @st.composite
@@ -75,6 +77,12 @@ def test_field_equals_the_matmul_expression(data, G, f):
     row = data.draw(st.integers(0, 1))
     stacked = vector_field(G, f, np.array([x, other] if row == 0 else [other, x]))
     assert stacked[row].tobytes() == new.tobytes()
+    # the integrator's field, returned and written into a row of its stages
+    field, stages = bound_field(G, f), np.full((2, G.n), np.nan)
+    for bound in (field(x), field(x, stages[row])):
+        assert bound.tobytes() == new.tobytes()
+        assert np.array_equal(np.signbit(bound), np.signbit(new))
+    assert stages[row].tobytes() == new.tobytes()
 
 
 @pytest.mark.parametrize("G", [
