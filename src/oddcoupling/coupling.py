@@ -134,18 +134,29 @@ class OddPolynomial(CouplingFunction):
         # then c_0, as np.float64, which numpy multiplies faster than a float
         c = [np.float64(c) for c in reversed(coeffs)]
         self._lead, self._mid, self._c0 = c[0], tuple(c[1:-1]), c[-1]
+        # u * 1.0 == u for every float, so a leading 1.0 is not multiplied in
+        self._monic = len(coeffs) > 1 and coeffs[-1] == 1.0
 
     def __call__(self, x):
         return self._evaluate(np.asarray(x, dtype=float))
 
     def _evaluate(self, x):
         """f at a float64 array x, unconverted: x p(x^2) in _horner's order
-        of operations, in one frame."""
+        of operations, in one frame, and never x itself."""
         if len(self.coeffs) == 1:
             return x * self._c0
         u = x * x
-        acc = u * self._lead
-        for c in self._mid:
+        mid = self._mid
+        if not self._monic:
+            acc = u * self._lead
+        elif mid:
+            # a new array, so that acc *= u does not square u in place
+            acc = u + mid[0]
+            acc *= u
+            mid = mid[1:]
+        else:
+            acc = u
+        for c in mid:
             acc += c
             acc *= u
         acc += self._c0

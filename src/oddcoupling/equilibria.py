@@ -46,22 +46,23 @@ def vector_field(G: Graph, f: CouplingFunction, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return bound_field(G, f)(x)
+        return np.negative(bound_gradient(G, f)(x))
     return -_rowwise(G.B, np.asarray(f(_rowwise(G.Bt, x))))
 
 
-def bound_field(G: Graph, f: CouplingFunction):
-    """The single-state field x -> -B f(B^T x) of ``vector_field``, with G's
-    products and f's evaluator looked up once; it writes into ``out`` when
-    given one. The integrator makes millions of these calls.
+def bound_gradient(G: Graph, f: CouplingFunction):
+    """The single-state energy gradient x -> B f(B^T x), minus the field of
+    ``vector_field``, with G's products and f's evaluator looked up once; it
+    writes into ``out`` when given one. The integrator makes millions of
+    these calls.
     """
     # ndarray.dot is the BLAS matrix-vector product of np.matmul, without
     # its ufunc dispatch
     Bdot, Btdot, evaluate = G.B.dot, G.Bt.dot, f._evaluate
 
-    def field(x, out=None):
-        return np.negative(Bdot(evaluate(Btdot(x))), out=out)
-    return field
+    def gradient(x, out=None):
+        return Bdot(evaluate(Btdot(x)), out=out)
+    return gradient
 
 
 def energy(G: Graph, f: CouplingFunction, x):

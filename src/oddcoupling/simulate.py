@@ -30,7 +30,7 @@ from .defaults import (
 )
 from .equilibria import (
     EquilibriumPoint,
-    bound_field,
+    bound_gradient,
     canonical_form,
     edge_space_distance,
     energy,
@@ -138,8 +138,14 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
 # Dormand-Prince 5(4) with the constants and order of operations of RK45
 # (Hairer, Norsett and Wanner, Solving ODEs I, II.4-5): every step, sample
 # and event time equals that of solve_ivp(method="RK45") bit for bit.
+# The stages hold the energy gradient g = B f(B^T x), minus the field, so
+# the tables A, b, e and P below are negated: each product g * (-a) is the
+# real number (-g) * a of RK45, so every rounded product, fused multiply-add
+# and partial sum is RK45's, whatever order BLAS sums in. A stage enters
+# nothing else but squared norms, and the starting step's x0 - h0 g0 and
+# g0 - g1, which are x0 + h0 f0 and f1 - f0 in IEEE arithmetic.
 _C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
+_A = -np.array([
     [0, 0, 0, 0, 0],
     [1/5, 0, 0, 0, 0],
     [3/40, 9/40, 0, 0, 0],
@@ -147,11 +153,11 @@ _A = np.array([
     [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
 ])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+_B = -np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = -np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
                1/40])
 # quartic dense output, with the optimum c_6 of Shampine (1986)
-_P = np.array([
+_P = -np.array([
     [1, -8048581381/2820520608, 8663915743/2820520608,
      -12715105075/11282082432],
     [0, 0, 0, 0],
@@ -185,28 +191,29 @@ def _not_finite(t):
     return NonFiniteFieldError(f"the vector field is not finite at t = {t:.6g}")
 
 
-def _settle_gap(abs_x, fx) -> float:
-    """The settle event: ||F(x)|| minus the equilibrium tolerance, falling
-    through zero as the flow settles. Takes |x|, which the stepper has at
-    hand; EQ_TOL_SCALE * (1 + max |x|) is eq_tolerance(x), bit for bit."""
-    return math.sqrt(fx.dot(fx)) - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
+def _settle_gap(abs_x, gx) -> float:
+    """The settle event: ||F(x)|| = ||grad E(x)|| minus the equilibrium
+    tolerance, falling through zero as the flow settles. Takes |x|, which the
+    stepper has; EQ_TOL_SCALE * (1 + max |x|) is eq_tolerance(x), bit for bit."""
+    return math.sqrt(gx.dot(gx)) - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
 
 
-def _initial_step(field, x0, f0, t_end, rtol, atol):
+def _initial_step(gradient, x0, g0, t_end, rtol, atol):
     """Hairer, Norsett and Wanner's starting step, as RK45's
-    ``select_initial_step`` computes it for an error estimator of order 4."""
+    ``select_initial_step`` computes it for an error estimator of order 4,
+    from the gradient g0 = -F(x0)."""
     scale = atol + np.abs(x0) * rtol
     d0 = _rms(x0 / scale)
-    d1 = _rms(f0 / scale)
+    d1 = _rms(g0 / scale)
     if not (math.isfinite(d0) and math.isfinite(d1)):
         raise NumericalError("the first step cannot be sized: x0 or F(x0) over the "
                              "error scale atol + rtol |x0| is not finite")
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f1 = field(x0 + h0 * f0)
-    if not np.isfinite(f1).all():
+    g1 = gradient(x0 - h0 * g0)
+    if not np.isfinite(g1).all():
         raise _not_finite(h0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms((g0 - g1) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -220,30 +227,33 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
     Returns (times, states, status): status 0 when t_end is reached, 1 at
     the settle event (the last sample is its root), -1 when the step falls
     below ten ulps of t. The settle test reuses each step's last stage,
-    which is F at the new state.
+    which is the gradient at the new state.
     """
-    field = bound_field(G, f)
+    gradient = bound_gradient(G, f)
     # solve_ivp lifts an rtol below 100 eps to that floor, and so does this
     rtol = max(rtol, 100 * _EPS)
-    fy = field(x0)
-    if not np.isfinite(fy).all():
+    gy = gradient(x0)
+    if not np.isfinite(gy).all():
         raise _not_finite(0.0)
-    h_abs = _initial_step(field, x0, fy, t_end, rtol, atol)
+    h_abs = _initial_step(gradient, x0, gy, t_end, rtol, atol)
     t, y, abs_y = 0.0, x0, np.abs(x0)
-    gap = _settle_gap(abs_y, fy)
+    gap = _settle_gap(abs_y, gy)
     ts, ys = [t], [y]
     root_n = x0.size ** 0.5
     # numpy multiplies an array by an np.float64 faster than by a float
     rtol, atol = np.float64(rtol), np.float64(atol)
-    # every stage is written in place into its row of K: K[0] is F at y,
-    # K[6] F at the step's new state
+    # every stage is written in place into its row of K: K[0] is the
+    # gradient at y, K[6] the gradient at the step's new state
     K = np.empty((7, x0.size))
-    K[0], f_new = fy, K[-1]
+    K[0], g_new = gy, K[-1]
     # the stage sums np.dot(K[:s].T, a[:s]) with the rows they fill, and the
     # views for the solution update and the error estimate, made once; their
     # .dot methods are np.dot without its dispatch
     stages = [(K[:s].T.dot, _A[s, :s], K[s]) for s in range(1, 6)]
     KT_head, KT = K[:-1].T, K.T
+    # the stages are all finite exactly when this weighted sum of them is:
+    # a weight of 2**-64 keeps a sum of finite entries from overflowing
+    screen, weights = K.reshape(-1).dot, np.full(K.size, 2.0 ** -64)
     attempts = 0
     while True:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -266,12 +276,13 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
                 z = dot(a)
                 z *= h64
                 z += y
-                field(z, row)
+                gradient(z, row)
             y_new = KT_head.dot(_B)
             y_new *= h64
             y_new += y
-            field(y_new, f_new)
-            if not np.isfinite(K).all():
+            gradient(y_new, g_new)
+            # before the error estimate, which would divide inf by inf
+            if not math.isfinite(screen(weights)):
                 s = int(np.argmin(np.isfinite(K).all(axis=1)))
                 raise _not_finite(t + _C[s] * h if s < 6 else t + h)
             abs_y_new = np.abs(y_new)
@@ -297,9 +308,9 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
 
         t_old, y_old = t, y
         t, y, abs_y = t_new, y_new, abs_y_new
-        gap_new = _settle_gap(abs_y, f_new)
+        gap_new = _settle_gap(abs_y, g_new)
         if gap >= 0 and gap_new <= 0:
-            # K[0] still holds F at y_old, which the dense output needs
+            # K[0] still holds the gradient at y_old, for the dense output
             Q = KT.dot(_P)
             h = t - t_old
 
@@ -309,13 +320,13 @@ def _dopri5(G, f, x0, t_end, rtol, atol):
 
             def event(tau):
                 x = dense(tau)
-                return _settle_gap(np.abs(x), field(x))
+                return _settle_gap(np.abs(x), gradient(x))
 
             root = _brentq(event, t_old, t, 4 * _EPS, 4 * _EPS)
             ts.append(root)
             ys.append(dense(root))
             return np.array(ts), np.vstack(ys), 1
-        K[0] = f_new
+        K[0] = g_new
         gap = gap_new
         ts.append(t)
         ys.append(y)

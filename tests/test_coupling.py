@@ -367,6 +367,11 @@ SPECIAL_POINTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf, mat
     [0.3, -1.1, -0.0, 2.5, -0.7],
     [5e-324, 1.0],
     [1e300, -1e-300, 3.0],
+    # monic: those ending in 1.0 skip the product u * 1.0; [1.0] does not
+    [1.0],
+    [1.0, 1.0],
+    [0.5, -2.0, 1.0],
+    [0.3, 0.0, -1.1, 1.0],
 ])
 def test_odd_poly_keeps_the_legacy_bits_and_types(coeffs):
     f = make_polynomial(coeffs)
@@ -379,10 +384,12 @@ def test_odd_poly_keeps_the_legacy_bits_and_types(coeffs):
                 new, want = getattr(f, name)(x), getattr(old, name)(x)
                 assert type(new) is type(want), (name, x)
                 same_bits(new, want)
-        # the field's evaluator takes float64 arrays as they are
+        # the field's evaluator takes float64 arrays as they are, and never
+        # hands one back
         for x in arrays:
             new, want = f._evaluate(x), old(x)
             assert type(new) is type(want)
+            assert new is not x and not np.shares_memory(new, x)
             same_bits(new, want)
 
 

@@ -1,10 +1,11 @@
 """The single-state vector field against the expression it replaced,
--np.matmul(B, f(np.matmul(B^T, x))), against the stacked field and against
-the integrator's bound field: equal bit for bit, signed zeros included.
+-np.matmul(B, f(np.matmul(B^T, x))), and against the stacked field; the
+integrator's bound energy gradient against B f(B^T x) and against minus the
+field: equal bit for bit, signed zeros included.
 
-The integrator evaluates the flow through ``bound_field``, while the scipy
-run of the integrator oracle calls ``vector_field``; the two are compared
-here directly. hypothesis serves as the generator only.
+The integrator's stages hold the gradient from ``bound_gradient``, while the
+scipy run of the integrator oracle calls ``vector_field``; the two are
+compared here directly. hypothesis serves as the generator only.
 """
 
 import math
@@ -22,7 +23,7 @@ from oddcoupling import (  # noqa: E402
     make_sine_series,
     vector_field,
 )
-from oddcoupling.equilibria import bound_field  # noqa: E402
+from oddcoupling.equilibria import bound_gradient  # noqa: E402
 
 
 @st.composite
@@ -77,12 +78,15 @@ def test_field_equals_the_matmul_expression(data, G, f):
     row = data.draw(st.integers(0, 1))
     stacked = vector_field(G, f, np.array([x, other] if row == 0 else [other, x]))
     assert stacked[row].tobytes() == new.tobytes()
-    # the integrator's field, returned and written into a row of its stages
-    field, stages = bound_field(G, f), np.full((2, G.n), np.nan)
-    for bound in (field(x), field(x, stages[row])):
-        assert bound.tobytes() == new.tobytes()
-        assert np.array_equal(np.signbit(bound), np.signbit(new))
-    assert stages[row].tobytes() == new.tobytes()
+    # the integrator's gradient, returned and written into a row of its
+    # stages, is the matmul expression, and minus the field
+    grad = np.matmul(G.B, f(np.matmul(G.Bt, x)))
+    gradient, stages = bound_gradient(G, f), np.full((2, G.n), np.nan)
+    for bound in (gradient(x), gradient(x, stages[row])):
+        assert bound.tobytes() == grad.tobytes()
+        assert np.array_equal(np.signbit(bound), np.signbit(grad))
+        assert np.negative(bound).tobytes() == new.tobytes()
+    assert stages[row].tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("G", [

@@ -33,7 +33,8 @@ from oddcoupling import (  # noqa: E402
 from oddcoupling import simulate as simulate_mod  # noqa: E402
 from oddcoupling.corpus import complete_graph, path_graph  # noqa: E402
 from oddcoupling.defaults import ODE_ATOL, ODE_RTOL  # noqa: E402
-from oddcoupling.errors import NumericalError, ValidationError  # noqa: E402
+from oddcoupling.equilibria import bound_gradient  # noqa: E402
+from oddcoupling.errors import NonFiniteFieldError, NumericalError, ValidationError  # noqa: E402
 
 from helpers import random_connected_graph, solve_ivp_oracle  # noqa: E402
 
@@ -101,6 +102,56 @@ def test_matches_solve_ivp_at_each_stop(G, f, x0, t_end, status):
 ])
 def test_matches_solve_ivp_on_disconnected_graphs(G, f, x0):
     same_run(G, f, x0, 50.0)
+
+
+# the stages hold the energy gradient and the tables carry the sign: every
+# product g * (-a) must be RK45's (-g) * a, signed zeros included. Starts
+# with negative zeros on connected graphs, and constant starts, whose field
+# is a signed zero, with zeros of mixed sign
+@pytest.mark.parametrize("f", [CUBIC_UP, make_polynomial([1.0, 2.0]), SIN],
+                         ids=["x+x^3", "x+2x^3", "sin"])
+@pytest.mark.parametrize("G, x0", [
+    (path_graph(4), [-0.0, 0.4, -0.3, -0.0]),
+    (complete_graph(4), [0.5, -0.0, -0.0, -1.2]),
+    (complete_graph(4), [0.0, -0.0, -0.0, 0.0]),
+    (path_graph(4), [-0.0, 0.0, -0.0, 0.0]),
+    (path_graph(4), [-0.0, -0.0, -0.0, -0.0]),
+    (complete_graph(4), [0.7, 0.7, 0.7, 0.7]),
+])
+def test_matches_solve_ivp_with_signed_zeros(f, G, x0):
+    same_run(G, f, x0, 20.0)
+
+
+# a loose atol lets the steps grow until the explicit stages blow up: the
+# first field is finite and an interior stage overflows first
+@pytest.mark.parametrize("f, x0, message", [
+    (CUBIC_UP, [0.0, 1.0, 0.5], "the vector field is not finite at t = 4.11111"),
+    (make_polynomial([1.0, 2.0]), [0.0, 3.0, -1.0],
+     "the vector field is not finite at t = 0.411111"),
+])
+def test_an_interior_stage_that_overflows_ends_the_run(f, x0, message):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteFieldError) as err:
+        integrate(path_graph(3), f, np.array(x0), t_end=1e6, atol=1e300)
+    assert str(err.value) == message
+
+
+def test_stages_near_the_largest_float_are_finite():
+    # four edges and eight isolated vertices under f(x) = x: a row of stages
+    # is (g, -g, 0, 0) four times over, g near 1e307, so the stages hold 28
+    # entries near g and 28 near -g. Summed with unit weights, they overflow
+    # in any order that meets 18 entries of one sign first, as a dot product
+    # with 4-lane accumulators does. The entries are finite, so the
+    # non-finite screen must pass them, and RK45's products 11.6 |g| stay
+    # below the largest float
+    G = build_graph([(0, 1), (4, 5), (8, 9), (12, 13)], n=16)
+    f = make_polynomial([1.0])
+    x0 = np.tile([5e306, -5e306, 0.0, 0.0], 4)
+    g0 = bound_gradient(G, f)(x0)
+    assert 18 * float(g0.max()) > np.finfo(float).max
+    # ||F||^2 in the settle event overflows, in both integrators
+    with np.errstate(over="ignore"):
+        assert same_run(G, f, x0, 3.0).status == 0
 
 
 def test_matches_solve_ivp_with_rejected_steps():

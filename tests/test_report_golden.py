@@ -1,10 +1,11 @@
 """Byte-for-byte report text of `ocl bounds`, `blocks`, `cover`, `stability`,
-`basin`, `corpus run` and `corpus run-all`.
+`basin`, `simulate`, `corpus run` and `corpus run-all`.
 
 Each case runs one command and compares the report it writes with the file
-of the same name under tests/golden/. Regenerate a file only together with a
-deliberate change of that report's format, and say so where the change is
-recorded.
+of the same name under tests/golden/; a `simulate` case also compares its
+trajectory CSV, the most bit-sensitive output, with the `.csv` file of that
+name. Regenerate a file only together with a deliberate change of that
+report's format, and say so where the change is recorded.
 """
 
 import json
@@ -30,6 +31,8 @@ INPUTS = {
     "sin.json": {"family": "sine_sum", "terms": {"1": 1.0}},
     "p2.json": {"n": 2, "edges": [[0, 1]]},
     "x_minus_x3.json": {"family": "odd_poly", "coeffs": [1.0, -1.0]},
+    "x_plus_x3.json": {"family": "odd_poly", "coeffs": [1.0, 1.0]},
+    "p4.json": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
     "hex_pendant.json": graph_to_dict(hex_with_pendant_path()),
 }
 
@@ -53,6 +56,17 @@ CASES = {
     # three of the five trials escape: null final distances
     "basin_p2_escape": ["basin", "--graph", "p2.json", "--coupling", "x_minus_x3.json",
                         "--point=0,1", "--radius", "0.1", "--trials", "5", "--t-end", "50"],
+    # ends at --t-end
+    "simulate_bowtie_cubic": ["simulate", "--graph", "bowtie.json", "--coupling",
+                              "x_plus_x3.json", "--x0", "1.0,-0.5,0.3,2.0,-1.2",
+                              "--t-end", "3", "--csv", "trajectory.csv"],
+    # ends at the settle event, located by Brent's method on the dense output
+    "simulate_p4_sin_settle": ["simulate", "--graph", "p4.json", "--coupling", "sin.json",
+                               "--x0", "0.3,-0.2,0.1,0.0", "--csv", "trajectory.csv"],
+    # a negative zero in the start
+    "simulate_tri_signed_zero": ["simulate", "--graph", "tri.json", "--coupling",
+                                 "x_plus_x3.json", "--x0=-0.0,0.4,-0.3",
+                                 "--csv", "trajectory.csv"],
     "corpus_run_p3_sin": ["corpus", "run", "p3-sin"],
     "corpus_run_all": ["corpus", "run-all"],
 }
@@ -66,3 +80,5 @@ def test_report_bytes_match_golden(tmp_path, monkeypatch, case):
         Path(name).write_text(json.dumps(data))
     assert run(CASES[case] + ["--out", "report.json"]) == 0
     assert Path("report.json").read_text() == (GOLDEN / f"{case}.json").read_text()
+    if "--csv" in CASES[case]:
+        assert Path("trajectory.csv").read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
