@@ -4,21 +4,21 @@ automorphisms.
 A vertex surjection phi: V(G) -> V(H) is a generalized covering map when,
 after discarding the neighbors that share the vertex's own image (their
 interaction terms cancel), it maps every neighborhood d_i-to-one onto the
-image neighborhood. ``is_generalized_covering`` is the one neighborhood
-check: a covering map is a generalized covering with every d_i = 1 and no
-edge of G inside a fiber. Equilibria of H lift to equilibria of G through
-x_i = y_{phi(i)}.
+image neighborhood. ``_fiber_degree`` is the one per-vertex check, run by
+``is_generalized_covering`` and by the search: a covering map is a
+generalized covering with every d_i = 1 and no edge of G inside a fiber.
+Equilibria of H lift to equilibria of G through x_i = y_{phi(i)}.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .coupling import CouplingFunction
-from .defaults import AUTOMORPHISM_CAP, COVERING_CAP, SEARCH_VERTEX_CAP, eq_tolerance
+from .defaults import (AUTOMORPHISM_CAP, COVERING_CAP, COVERING_NODE_CAP, SEARCH_VERTEX_CAP,
+                       eq_tolerance)
 from .equilibria import (
     EquilibriumPoint,
     equilibrium_point,
@@ -87,23 +87,25 @@ def is_covering(phi, G: Graph, H: Graph) -> bool:
 def is_generalized_covering(phi, G: Graph, H: Graph) -> tuple[bool, tuple[int, ...] | None]:
     """Check the d_i-to-one condition after removing same-image neighbors.
 
-    Returns (valid, fiber_degrees). Well-definedness (images of the remaining
-    neighbors land in N_H(phi(i))) and equal counts are both required;
-    failure of either is a plain False.
+    Returns (valid, fiber_degrees): phi must be onto and every vertex must
+    pass ``_fiber_degree``; failure of either is a plain False.
     """
     phi = _check_phi(phi, G, H)
-    if set(phi) != set(range(H.n)):
+    degrees = tuple(_fiber_degree(phi, i, G, H) for i in range(G.n))
+    if set(phi) != set(range(H.n)) or not all(degrees):
         return False, None
-    degrees = []
-    for i in range(G.n):
-        counts = Counter(phi[j] for j in G.neighbors[i] if phi[j] != phi[i])
-        target = H.neighbors[phi[i]]
-        # an isolated image takes no neighbors and counts as degree 1
-        vals = {counts[h] for h in target} or {1}
-        if not counts.keys() <= set(target) or len(vals) != 1 or 0 in vals:
-            return False, None
-        degrees.append(vals.pop())
-    return True, tuple(degrees)
+    return True, degrees
+
+
+def _fiber_degree(phi, i: int, G: Graph, H: Graph) -> int:
+    """d_i, or 0 when vertex i fails: the neighbors off its own image must
+    land in N_H(phi(i)), each image neighbor equally often. An isolated
+    image takes no neighbors and counts as degree 1."""
+    images = [phi[j] for j in G.neighbors[i]]
+    target = H.neighbors[phi[i]]
+    vals = {images.count(h) for h in target} or {1}
+    d = vals.pop()
+    return d if not vals and len(images) - images.count(phi[i]) == d * len(target) else 0
 
 
 def validated_vertex_map(phi, G: Graph, H: Graph) -> VertexMap:
@@ -115,40 +117,43 @@ def validated_vertex_map(phi, G: Graph, H: Graph) -> VertexMap:
 
 def find_generalized_coverings(G: Graph, H: Graph, cap: int = COVERING_CAP) -> list[VertexMap]:
     """All generalized covering maps G -> H by backtracking, in lexicographic
-    order of the assignment vector. Raises SearchBudgetExceededError when more
-    than ``cap`` maps exist."""
+    order of the assignment vector. Each vertex meets ``_fiber_degree`` once,
+    when the last of it and its neighbors is mapped. Raises
+    SearchBudgetExceededError past ``cap`` maps or ``COVERING_NODE_CAP`` nodes."""
     if G.n > SEARCH_VERTEX_CAP:
         raise ValidationError(f"search capped at {SEARCH_VERTEX_CAP} vertices "
                               f"(got {G.n}); exponential backtracking")
-    deg_H = [H.degree(v) for v in range(H.n)]
-    phi = [-1] * G.n
+    closing = [[] for _ in range(G.n)]
+    for u in range(G.n):
+        closing[max((u, *G.neighbors[u]))].append(u)
+    # the images a vertex's neighbor may have when the vertex maps to h
+    allowed = [{-1, h, *H.neighbors[h]} for h in range(H.n)]
+    phi, degrees = [-1] * G.n, [0] * G.n
     found: list[VertexMap] = []
-
-    def feasible(v: int, h: int) -> bool:
-        if G.degree(v) < deg_H[h]:
-            return False
-        for w in G.neighbors[v]:
-            hw = phi[w]
-            if hw == -1 or hw == h:
-                continue
-            if not H.has_edge(h, hw):
-                return False
-        return True
+    nodes = 0
 
     def backtrack(v: int):
+        nonlocal nodes
+        if nodes == COVERING_NODE_CAP:
+            raise SearchBudgetExceededError(f"covering search reached {COVERING_NODE_CAP} nodes")
+        nodes += 1
         if v == G.n:
-            ok, degrees = is_generalized_covering(phi, G, H)
-            if ok:
-                found.append(VertexMap(phi=tuple(phi), fiber_degrees=degrees))
+            if len(set(phi)) == H.n:
+                found.append(VertexMap(phi=tuple(phi), fiber_degrees=tuple(degrees)))
                 if len(found) > cap:
                     raise SearchBudgetExceededError(
                         f"more than {cap} generalized coverings")
             return
         for h in range(H.n):
-            if feasible(v, h):
+            if all(phi[w] in allowed[h] for w in G.neighbors[v]):
                 phi[v] = h
-                backtrack(v + 1)
-                phi[v] = -1
+                for u in closing[v]:
+                    degrees[u] = _fiber_degree(phi, u, G, H)
+                    if not degrees[u]:
+                        break
+                else:
+                    backtrack(v + 1)
+        phi[v] = -1
 
     backtrack(0)
     return found
@@ -191,7 +196,6 @@ def automorphisms(G: Graph) -> AutomorphismSet:
     sigma = [-1] * G.n
     used = [False] * G.n
     perms: list[tuple[int, ...]] = []
-    hit_cap = False
 
     def consistent(v: int, u: int) -> bool:
         # edges into edges suffices: a vertex bijection mapping all m edges
@@ -204,25 +208,19 @@ def automorphisms(G: Graph) -> AutomorphismSet:
         return True
 
     def backtrack(v: int):
-        nonlocal hit_cap
-        if hit_cap:
-            return
         if v == G.n:
             perms.append(tuple(sigma))
-            if len(perms) >= AUTOMORPHISM_CAP:
-                hit_cap = True
             return
         for u in range(G.n):
-            if not used[u] and consistent(v, u):
+            if len(perms) < AUTOMORPHISM_CAP and not used[u] and consistent(v, u):
                 sigma[v] = u
                 used[u] = True
                 backtrack(v + 1)
                 used[u] = False
                 sigma[v] = -1
 
-    backtrack(0)
-    perms.sort()
-    return AutomorphismSet(permutations=tuple(perms), complete=not hit_cap)
+    backtrack(0)   # depth first, so in lexicographic order
+    return AutomorphismSet(permutations=tuple(perms), complete=len(perms) < AUTOMORPHISM_CAP)
 
 
 def apply_permutation(perm, x: np.ndarray) -> np.ndarray:

@@ -42,6 +42,8 @@ CYCLE_CAP = 10_000
 CHAIN_NODE_CAP = 1_000_000
 AUTOMORPHISM_CAP = 100_000
 COVERING_CAP = 10_000
+# nodes (backtrack calls, leaves included) one covering search may visit
+COVERING_NODE_CAP = 500_000
 SEARCH_VERTEX_CAP = 16
 ZERO_PATTERN_VERTEX_CAP = 20
 

@@ -93,6 +93,27 @@ def brute_force_is_covering(phi, G, H):
     return True
 
 
+def brute_force_fiber_degrees(phi, G, H):
+    """Fiber degrees of a generalized covering by its definition, or None
+    when phi is not one: phi is onto V(H), and for every vertex i the
+    neighbors j with phi(j) != phi(i) hit each vertex of N_H(phi(i)) the same
+    number d_i >= 1 of times and nothing else. An isolated phi(i) takes no
+    such neighbor and has d_i = 1."""
+    if set(phi) != set(range(H.n)):
+        return None
+    degrees = []
+    for i in range(G.n):
+        preimages = {}
+        for j in G.neighbors[i]:
+            if phi[j] != phi[i]:
+                preimages.setdefault(phi[j], []).append(j)
+        sizes = {len(js) for js in preimages.values()}
+        if set(preimages) != set(H.neighbors[phi[i]]) or len(sizes) > 1:
+            return None
+        degrees.append(sizes.pop() if sizes else 1)
+    return tuple(degrees)
+
+
 def elimination_rank(M):
     """Exact rank by Gaussian elimination over the rationals."""
     rows = [[Fraction(int(v)) for v in row] for row in np.asarray(M)]

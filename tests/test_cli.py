@@ -512,6 +512,19 @@ def test_bounds_on_the_4_cube_ends_at_the_node_cap(workdir):
     assert rep["cc_exact"] is False and rep["cc"] >= 8
 
 
+def test_cover_find_on_k16_ends_at_the_node_cap(workdir):
+    # no partial map K16 -> K4 fails before the last vertex, which closes
+    # every fiber test; COVERING_NODE_CAP ends the search after about 5 s on
+    # 2 cores, where it never ended before. A subprocess, so that a hang
+    # fails the test
+    k16 = [[j, k] for j in range(16) for k in range(j + 1, 16)]
+    (workdir / "k16.json").write_text(json.dumps({"n": 16, "edges": k16}))
+    proc = run_module(["cover", "find", "--graph", str(workdir / "k16.json"),
+                       "--target", str(workdir / "k4.json")], timeout=60)
+    assert proc.returncode == 3
+    assert "covering search reached" in proc.stderr
+
+
 C3 = ["--graph", "c3.json", "--coupling", "cubic.json"]
 P2 = ["--graph", "p2.json", "--coupling", "cubic.json"]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -28,6 +29,7 @@ from oddcoupling.corpus import (
     k3_curve_point,
     path_graph,
 )
+from oddcoupling import coverings
 from oddcoupling.coverings import VertexMap, apply_permutation, validated_vertex_map
 from oddcoupling.equilibria import points_equivalent
 from oddcoupling.errors import (
@@ -36,7 +38,7 @@ from oddcoupling.errors import (
     ValidationError,
 )
 
-from helpers import brute_force_is_covering, random_connected_graph
+from helpers import brute_force_fiber_degrees, brute_force_is_covering, random_connected_graph
 
 SIN = make_sine_combination({1: 1.0})
 HEX_TO_TRI = [0, 1, 2, 0, 1, 2]
@@ -158,6 +160,74 @@ def test_find_coverings_vertex_cap():
         find_generalized_coverings(big, path_graph(2))
 
 
+@st.composite
+def small_pairs(draw):
+    """(G, H): G of at most 7 vertices, H of at most 4. Either G is a k-fold
+    lift of H, or H with every vertex joined to the whole fiber next to it,
+    possibly with one extra edge, under a random labelling; or both graphs
+    are random."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nH = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    H = build_graph([(a, b) for a in range(nH) for b in range(a + 1, nH) if rng.random() < p], n=nH)
+    if not draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        return build_graph([(a, b) for a in range(n) for b in range(a + 1, n)
+                            if rng.random() < p], n=n), H
+    k = draw(st.integers(1, 7 // nH))
+    full = draw(st.booleans())
+    edges = set()
+    for a, b in H.edges:
+        perm = rng.sample(range(k), k)
+        edges.update((a * k + s, b * k + t) for s in range(k) for t in range(k)
+                     if full or t == perm[s])
+    if nH * k > 1 and draw(st.booleans()):
+        edges.add(tuple(sorted(rng.sample(range(nH * k), 2))))
+    label = rng.sample(range(nH * k), nH * k)
+    return build_graph([(label[a], label[b]) for a, b in edges], n=nH * k), H
+
+
+@hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+@hypothesis.given(small_pairs())
+def test_find_coverings_matches_brute_force(pair):
+    # every one of the H.n^G.n maps, in lexicographic order, through an
+    # oracle that shares no code with the search
+    G, H = pair
+    expected = []
+    for phi in itertools.product(range(H.n), repeat=G.n):
+        degrees = brute_force_fiber_degrees(phi, G, H)
+        if degrees is not None:
+            expected.append(VertexMap(phi=phi, fiber_degrees=degrees))
+    for cap in sorted({1, 3, max(1, len(expected) - 1), max(1, len(expected))}):
+        if len(expected) > cap:
+            with pytest.raises(SearchBudgetExceededError):
+                find_generalized_coverings(G, H, cap=cap)
+        else:
+            assert find_generalized_coverings(G, H, cap=cap) == expected
+
+
+def test_find_coverings_node_cap(monkeypatch):
+    # the search visits 532 nodes on cover7 -> K3, leaves included
+    G, H = cover7_graph(), complete_graph(3)
+    monkeypatch.setattr(coverings, "COVERING_NODE_CAP", 532)
+    assert len(find_generalized_coverings(G, H)) == 6
+    monkeypatch.setattr(coverings, "COVERING_NODE_CAP", 531)
+    with pytest.raises(SearchBudgetExceededError, match="531 nodes"):
+        find_generalized_coverings(G, H)
+
+
+def test_find_coverings_on_the_4_cube():
+    # 16 and 12 vertices, past the brute force: the 120 maps Q4 -> C4 and
+    # the 6 maps C12 -> C3, each valid, in lexicographic order
+    q4 = build_graph([(v, v ^ 1 << b) for v in range(16) for b in range(4) if v < v ^ 1 << b])
+    for G, H, count in ((q4, cycle_graph(4), 120), (cycle_graph(12), cycle_graph(3), 6)):
+        maps = find_generalized_coverings(G, H)
+        assert len(maps) == count
+        assert [m.phi for m in maps] == sorted(m.phi for m in maps)
+        assert all(is_generalized_covering(m.phi, G, H) == (True, m.fiber_degrees)
+                   for m in maps)
+
+
 def test_lift_zero():
     G = cover7_graph()
     H = complete_graph(3)
@@ -219,6 +289,20 @@ def test_automorphisms_cover7_trivial():
     auts = automorphisms(cover7_graph())
     assert len(auts) == 1
     assert auts.permutations[0] == tuple(range(7))
+
+
+def test_automorphisms_cap(monkeypatch):
+    # the first permutations in lexicographic order; a set that reaches the
+    # cap is incomplete, even when the group has exactly that many elements
+    monkeypatch.setattr(coverings, "AUTOMORPHISM_CAP", 7)
+    auts = automorphisms(complete_graph(5))
+    assert auts.permutations == tuple(itertools.permutations(range(5)))[:7]
+    assert not auts.complete
+    monkeypatch.setattr(coverings, "AUTOMORPHISM_CAP", 24)
+    assert len(automorphisms(complete_graph(4))) == 24
+    assert not automorphisms(complete_graph(4)).complete
+    monkeypatch.setattr(coverings, "AUTOMORPHISM_CAP", 25)
+    assert automorphisms(complete_graph(4)).complete
 
 
 def test_automorphism_group_axioms():
