@@ -79,18 +79,24 @@ class CouplingFunction:
         """Suggested grid size for root isolation on [a, b]."""
         raise NotImplementedError
 
-    def _positive_breaks(self) -> list[float]:
-        """The positive roots of f in increasing order, then a point past
-        the last of them beyond which f keeps its sign."""
+    def _zero_window(self) -> tuple[float, float]:
+        """An interval past 0 whose roots hold every sign change of f on (0, inf)."""
         raise NotImplementedError
 
     @cached_property
+    def positive_zeros(self) -> ZeroSet:
+        """The roots of f in the family's window, scanned once per coupling:
+        the prediction's witnesses and the breaks of sign_on_positives."""
+        return zeros_in(self, self._zero_window())
+
+    @cached_property
     def sign_on_positives(self) -> str:
-        # f keeps its sign between consecutive breaks: probe each midpoint,
-        # against _term_scale, the sum of the absolute terms of f there
-        pts = np.array([0.0, *self._positive_breaks()])
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        signs = _clear_signs(self(mids), self._term_scale(mids))
+        # f keeps its sign between roots and past the window: probe midpoints and
+        # roots (a pair read as one dips there) against _term_scale
+        zs = self.positive_zeros
+        pts = np.array([0.0, *zs.values(), zs.interval[1]])
+        probes = np.concatenate([0.5 * (pts[:-1] + pts[1:]), pts[1:-1]])
+        signs = _clear_signs(self(probes), self._term_scale(probes))
         if signs <= {1.0}:
             return SIGN_NONNEG
         if signs <= {-1.0}:
@@ -186,8 +192,12 @@ class OddPolynomial(CouplingFunction):
     @cached_property
     def increasing(self) -> bool:
         # increasing iff f' >= 0 everywhere with isolated zeros: sample f'
-        # strictly between consecutive real roots of f' and beyond the extremes
-        roots = _real_roots(self._d, 0)
+        # strictly between consecutive real roots of f' and beyond the extremes;
+        # f' = sum_k d_k x^(2k), whose roots come from its companion matrix
+        full = np.zeros(2 * len(self._d) - 1)
+        full[::2] = self._d
+        roots = np.polynomial.polynomial.polyroots(full)
+        roots = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
         lo = roots.min() - 1.0 if roots.size else -1.0
         hi = roots.max() + 1.0 if roots.size else 1.0
         probes = np.array([lo, hi, *(0.5 * (roots[:-1] + roots[1:]))])
@@ -196,10 +206,9 @@ class OddPolynomial(CouplingFunction):
     def _term_scale(self, x):
         return np.abs(x) * _horner(np.abs(self.coeffs), x * x)
 
-    def _positive_breaks(self):
-        # no root lies past the largest one plus the Cauchy bound
-        roots = sorted({r for r in _real_roots(self.coeffs, 1) if r > 1e-12})
-        return roots + [(roots[-1] if roots else 0.0) + 1.0 + self.cauchy_root_bound()]
+    def _zero_window(self):
+        # no root lies past the Cauchy bound
+        return 1e-9, self.cauchy_root_bound() + 1.0
 
     def to_dict(self):
         return {"family": "odd_poly", "coeffs": list(self.coeffs)}
@@ -225,14 +234,6 @@ def _clear_signs(vals, scales) -> set[float]:
     """Signs of the values past 1e-13 times their scale, the sum of the absolute
     terms they were summed from, so c f and f agree for every c > 0."""
     return set(np.sign(vals[(np.abs(vals) > 1e-13 * scales) | np.isinf(vals)]).tolist())
-
-
-def _real_roots(coeffs, first: int) -> np.ndarray:
-    """Sorted real roots of sum_k coeffs[k] x^(first + 2k), first 0 or 1."""
-    full = np.zeros(first + 2 * len(coeffs) - 1)
-    full[first::2] = coeffs
-    roots = np.polynomial.polynomial.polyroots(full)
-    return np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
 
 
 def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
@@ -328,14 +329,9 @@ class SineCombination(CouplingFunction):
     def _term_scale(self, x):
         return _term_sum([(w, abs(a)) for w, a in self._sin], lambda t: np.abs(np.sin(t)), x)
 
-    @cached_property
-    def period_zeros(self) -> ZeroSet:
-        """The roots of f in one period past the forced root at 0, which hold
-        every sign f takes; scanned once per coupling."""
-        return zeros_in(self, (1e-9, self.periodic - 1e-9))
-
-    def _positive_breaks(self):
-        return self.period_zeros.values() + [self.periodic]
+    def _zero_window(self):
+        # one period holds every sign f takes
+        return 1e-9, self.periodic - 1e-9
 
     def to_dict(self):
         return {"family": self.family, "terms": {str(k): a for k, a in self.terms}}
@@ -426,10 +422,12 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
 
     Sign-change roots are isolated by bracketing on a family-sized grid and
     refined by bisection; tangential roots (no sign change) are recovered as
-    extrema of f, i.e. sign-change roots of f', at which f vanishes. f
-    vanishes at x when |f(x)| is at most ROOT_TOL times _term_scale(x), the
-    sum of the absolute terms of f there, so that c f and f have the same
-    roots for every c > 0; ROOT_TOL is also the bisection width in x.
+    extrema of f, i.e. sign-change roots of f', at which f vanishes, or which
+    split a close pair when f has the sign opposite to both cell ends (three
+    roots in one cell can be missed). f vanishes at x when |f(x)| is at most
+    ROOT_TOL times _term_scale(x), the sum of the absolute terms of f there,
+    so c f and f have the same roots for every c > 0; ROOT_TOL is also the
+    bisection width in x. Finds with f vanishing between them are one root.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
@@ -441,38 +439,39 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     xs = np.linspace(a, b, n_grid + 1)
     fs = np.asarray(f(xs))
 
-    found: list[float] = []
     # roots sitting (numerically) on grid points
-    for i in np.nonzero(np.abs(fs) <= ROOT_TOL * f._term_scale(xs))[0]:
-        found.append(float(xs[i]))
+    found = xs[_vanishes(f, xs)].tolist()
 
     # strict sign changes, from the signs: a product of tiny values underflows
     for i in np.nonzero(_sign_changes(fs))[0]:
         found.append(_bisect(f, float(xs[i]), float(xs[i + 1]), float(fs[i])))
 
-    # tangential roots: zeros of f' where f itself vanishes
+    # tangential roots and close pairs, from the zeros of f'
     dfs = np.asarray(f.deriv(xs))
     for i in np.nonzero(_sign_changes(dfs))[0]:
-        xstar = _bisect(f.deriv, float(xs[i]), float(xs[i + 1]), float(dfs[i]))
-        if abs(float(f(xstar))) <= ROOT_TOL * float(f._term_scale(xstar)):
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        xstar = _bisect(f.deriv, lo, hi, float(dfs[i]))
+        fstar = float(f(xstar))
+        if _vanishes(f, xstar):
             found.append(xstar)
+        elif np.sign(fs[i]) == np.sign(fs[i + 1]) == -np.sign(fstar):
+            found += [_bisect(f, lo, xstar, float(fs[i])), _bisect(f, xstar, hi, fstar)]
 
     # dedup, then decide the sign-change flag from nearby samples
-    found.sort()
     sep = max(10 * ROOT_TOL, (b - a) * 1e-12)
     merged: list[float] = []
-    for r in found:
-        if merged and abs(r - merged[-1]) <= sep:
-            continue
-        merged.append(r)
-
+    for r in sorted(found):
+        if not merged or (r - merged[-1] > sep and not _vanishes(f, 0.5 * (r + merged[-1]))):
+            merged.append(r)
     delta = max((b - a) / (4 * n_grid), 1e-7)
-    roots = []
-    for r in merged:
-        left = float(f(max(r - delta, a - delta)))
-        right = float(f(min(r + delta, b + delta)))
-        roots.append(Root(value=r, sign_change=(left < 0 < right or right < 0 < left)))
-    return ZeroSet(interval=(a, b), roots=tuple(roots))
+    near = np.array(merged)
+    flips = np.sign(f(near - delta)) * np.sign(f(near + delta)) < 0
+    return ZeroSet(interval=(a, b), roots=tuple(map(Root, merged, flips.tolist())))
+
+
+def _vanishes(f: CouplingFunction, x):
+    """|f(x)| <= ROOT_TOL times the sum of the absolute terms of f at x."""
+    return np.abs(f(x)) <= ROOT_TOL * f._term_scale(x)
 
 
 def _sign_changes(vals) -> np.ndarray:

@@ -16,10 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import homology
-from .coupling import CouplingFunction, SIGN_MIXED, zeros_in
+from .coupling import CouplingFunction, SIGN_MIXED
 from .defaults import (
     DEDUP_DISTANCE,
     EQ_TOL_SCALE,
+    ROOT_TOL,
     ZERO_PATTERN_VERTEX_CAP,
     eq_tolerance,
     rank_tolerance,
@@ -353,8 +354,11 @@ def zero_pattern_equilibria(G: Graph, f: CouplingFunction, z: float) -> list[Equ
         raise ValidationError(f"2^(n-1) enumeration capped at n <= {ZERO_PATTERN_VERTEX_CAP}")
     if abs(z) < 1e-12:
         raise NotARootError("z must be a nonzero root of f")
-    if abs(float(f(z))) > 1e-10:
-        raise NotARootError(f"f({z}) = {float(f(z)):.3e} is not zero")
+    # scale-free: |f| against its term sum, or the Newton step |f / f'| against
+    # 1 + |z|, as a one-term sine needs, whose term sum is |f|
+    fz, dfz = float(f(z)), float(f.deriv(z))
+    if not abs(fz) <= ROOT_TOL * max(float(f._term_scale(z)), (1.0 + abs(z)) * abs(dfz)):
+        raise NotARootError(f"f({z}) = {fz:.3e} is not zero")
     points = []
     for bits in range(2 ** (G.n - 1)):
         x = np.zeros(G.n)
@@ -438,17 +442,12 @@ def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPredict
     """
     if G.m < 1:
         raise ValidationError("prediction needs a graph with at least one edge")
-    if f.periodic is not None:
-        zs = f.period_zeros
-    else:
-        zs = zeros_in(f, (1e-9, f.cauchy_root_bound() + 1.0))
     # roots below 1e-6 are the forced root at the origin leaking into the
     # scan window (every odd f vanishes at 0)
-    roots = tuple(r for r in zs.values() if r > 1e-6)
-    flags_sign = f.sign_on_positives
+    roots = tuple(r for r in f.positive_zeros.values() if r > 1e-6)
     if not roots:
         kind = EquilibriaClass.ONLY_ZERO
-    elif flags_sign != SIGN_MIXED:
+    elif f.sign_on_positives != SIGN_MIXED:
         kind = EquilibriaClass.DISCRETE
     else:
         kind = EquilibriaClass.NO_CONCLUSION
@@ -456,5 +455,5 @@ def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPredict
         kind=kind,
         global_convergence=f.increasing,
         nonzero_roots=roots,
-        scanned=zs.interval,
+        scanned=f.positive_zeros.interval,
     )

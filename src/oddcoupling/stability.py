@@ -106,6 +106,8 @@ def kernel_excess(G: Graph, f: CouplingFunction, p: EquilibriumPoint,
 
 def _verdict(G: Graph, spec: Spectrum, local_dim: int | None) -> StabilityReport:
     """The rules of :func:`classify` applied to a computed spectrum."""
+    if G.n == 0:
+        raise ValidationError("the graph has no vertices")
     evals, thr, zero_mult = spec.values, spec.threshold, spec.zero_multiplicity
     if evals[0] < -thr:
         verdict, d, rule = Verdict.UNSTABLE, None, "negative eigenvalue below -threshold"

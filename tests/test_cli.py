@@ -329,6 +329,17 @@ def test_removed_flag_exits_2(workdir, argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_stability_on_a_graph_without_vertices_exits_2(workdir, capsys, monkeypatch):
+    # the empty spectrum ended in an IndexError in the verdict
+    monkeypatch.chdir(workdir)
+    (workdir / "empty.json").write_text(json.dumps({"n": 0, "edges": []}))
+    (workdir / "point.json").write_text("[]")
+    code = run(["stability", "--graph", "empty.json", "--coupling", "sin.json",
+                "--point", "@point.json"])
+    assert code == 2
+    assert "the graph has no vertices" in capsys.readouterr().err
+
+
 def test_stability_echoes_t_eq(workdir):
     out = workdir / "s.json"
     code = run(["stability", "--graph", str(workdir / "k4.json"),

@@ -178,6 +178,20 @@ def test_zeros_tangential():
     assert flags[1] is False and flags[-1] is False
 
 
+@pytest.mark.parametrize("f, want", [
+    (make_polynomial([1.0, -2.0, 1.0]), [1.0]),                        # x (x^2 - 1)^2
+    (make_sine_combination({1: 1.0, 3: 1.0}), [0.5 * math.pi, math.pi, 1.5 * math.pi]),
+    # sin 3x (1 + 2 cos 2x): triple roots at pi / 3, 2 pi / 3, 4 pi / 3 and 5 pi / 3
+    (make_sine_combination({1: 1.0, 3: 1.0, 5: 1.0}),
+     [k * math.pi / 3 for k in range(1, 6)]),
+], ids=["double", "sin_x_cos2_x", "triple"])
+def test_each_root_listed_once(f, want):
+    # a tangential root was listed once as a grid point and once as the
+    # bisected zero of f', up to 7.5e-10 apart
+    zs = f.positive_zeros
+    assert np.allclose(zs.values(), want, rtol=0.0, atol=1e-6)
+
+
 def test_classify_flags():
     assert make_polynomial([1.0, 1.0]).increasing                             # x + x^3
     cubic = make_polynomial([0.0, 1.0])                                       # x^3

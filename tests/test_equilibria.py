@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from oddcoupling.corpus import (
     star_graph,
 )
 from oddcoupling import coupling, equilibria
-from oddcoupling.defaults import DEDUP_DISTANCE
+from oddcoupling.coupling import SIGN_MIXED, SIGN_NONNEG, SIGN_NONPOS
+from oddcoupling.defaults import DEDUP_DISTANCE, ROOT_TOL
 from oddcoupling.equilibria import EquilibriaClass, newton_batch, points_equivalent
 from oddcoupling.errors import NoConvergenceError, NotARootError, ValidationError
 
@@ -193,6 +196,19 @@ def test_zero_pattern_not_a_root():
         zero_pattern_equilibria(build_graph([(0, 1), (2, 3)]), SIN, math.pi)
 
 
+def test_zero_pattern_root_test_ignores_scale():
+    # an absolute |f(z)| <= 1e-10 refused pi for 1e6 sin x, where
+    # f(pi) = 1.2e-10, and took 1.5 for 1e-12 (x - x^3)
+    pts = zero_pattern_equilibria(path_graph(3), make_sine_combination({1: 1e6}), math.pi)
+    assert len(pts) == 4 and all(p.accepted() for p in pts)
+    with pytest.raises(NotARootError):
+        zero_pattern_equilibria(path_graph(3), make_polynomial([1e-12, -1e-12]), 1.5)
+    # near a double root the Newton step f / f' is 5e-8, and |f| = 4e-14 is
+    # within ROOT_TOL of its term sum 4
+    pts = zero_pattern_equilibria(path_graph(2), make_polynomial([1.0, -2.0, 1.0]), 1.0 + 1e-7)
+    assert len(pts) == 2 and all(p.accepted() for p in pts)
+
+
 def test_membership_zero_point():
     G = complete_graph(4)
     rep = membership_tests(G, SIN, equilibrium_point(G, SIN, np.zeros(4)))
@@ -243,11 +259,12 @@ def test_prediction_of_a_tiny_sine_has_one_witness():
 
 
 @pytest.mark.parametrize("make", [lambda: make_sine_combination({1: 1.0, 3: -0.5}),
-                                  lambda: make_sine_series(1.7, {1: 0.8, 3: -0.3})],
-                         ids=["sine_sum", "sine_series"])
-def test_prediction_scans_a_period_once(monkeypatch, make):
-    # the prediction and sign_on_positives share one scan of the period; a
-    # fresh coupling, since the scan is cached on it
+                                  lambda: make_sine_series(1.7, {1: 0.8, 3: -0.3}),
+                                  lambda: make_polynomial([1.0, -2.5, 1.0])],
+                         ids=["sine_sum", "sine_series", "odd_poly"])
+def test_prediction_scans_each_coupling_once(monkeypatch, make):
+    # the prediction and sign_on_positives share one scan of the family's
+    # window; a fresh coupling, since the scan is cached on it
     f, calls = make(), []
 
     def counted(*args):
@@ -255,11 +272,63 @@ def test_prediction_scans_a_period_once(monkeypatch, make):
         return zeros_in(*args)
 
     monkeypatch.setattr(coupling, "zeros_in", counted)
-    monkeypatch.setattr(equilibria, "zeros_in", counted)
     predict_equilibria_class(path_graph(2), f)
     assert len(calls) == 1
     predict_equilibria_class(cycle_graph(3), f)
+    assert f.sign_on_positives == SIGN_MIXED
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a", np.linspace(0.3, 2.5, 23))
+def test_prediction_finds_both_roots_of_a_close_pair(a):
+    # f = x (x^2 - a)(x^2 - a - eps): y = sqrt(a) on the 2-vertex path is an
+    # equilibrium, yet the grid scan met no sign change in the pair's cell
+    # and the prediction read only_zero
+    for eps in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5):
+        f = make_polynomial([a * (a + eps), -(2 * a + eps), 1.0])
+        rep = predict_equilibria_class(path_graph(2), f)
+        assert rep.kind == EquilibriaClass.NO_CONCLUSION, eps
+        pair = [math.sqrt(a), math.sqrt(a + eps)]
+        if len(rep.nonzero_roots) == 1:
+            # f's dip between the two is within ROOT_TOL of its term sum
+            # there, so they are one tangential root; only a = 2.5 with
+            # eps = 1e-5, 3.2e-6 apart
+            (r,) = rep.nonzero_roots
+            assert (a, eps) == (2.5, 1e-5)
+            assert pair[0] <= r <= pair[1]
+            assert abs(float(f(r))) <= ROOT_TOL * float(f._term_scale(r))
+        else:
+            assert np.allclose(rep.nonzero_roots, pair, rtol=0.0, atol=1e-9), eps
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(simple=st.lists(st.floats(0.1, 1.0), max_size=3),
+                  double=st.none() | st.floats(0.1, 1.0),
+                  c=st.floats(0.01, 100.0) | st.floats(-100.0, -0.01))
+def test_prediction_of_a_polynomial_built_from_its_roots(simple, double, c):
+    # f = c x p(x^2), p with simple roots at the squares of ``simple`` and a
+    # double root at the square of ``double``. Roots two grid cells apart
+    # or more: the scan does not promise to find three in one cell
+    doubled = [] if double is None else [double]
+    roots = sorted(simple + doubled)
+    u = [r * r for r in simple + doubled + doubled]
+    f = make_polynomial(c * np.polynomial.polynomial.polyfromroots(u) if u else [c])
+    lo, hi = f.positive_zeros.interval
+    cell = (hi - lo) / f.scan_resolution(lo, hi)
+    hypothesis.assume(all(s - r > 2 * cell for r, s in zip(roots, roots[1:])))
+    rep = predict_equilibria_class(path_graph(2), f)
+    assert len(rep.nonzero_roots) == len(roots)
+    for r, want in zip(rep.nonzero_roots, roots):
+        # a double root is where |f| <= ROOT_TOL times its term sum, which
+        # holds some 1e-6 either side of it
+        assert abs(r - want) <= (1e-5 if want == double else 1e-9)
+    # f changes sign exactly at a root of odd multiplicity
+    if simple:
+        assert f.sign_on_positives == SIGN_MIXED
+        assert rep.kind == EquilibriaClass.NO_CONCLUSION
+    else:
+        assert f.sign_on_positives == (SIGN_NONNEG if c > 0 else SIGN_NONPOS)
+        assert rep.kind == (EquilibriaClass.DISCRETE if roots else EquilibriaClass.ONLY_ZERO)
 
 
 def test_winding_identification():
