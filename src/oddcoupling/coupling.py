@@ -79,6 +79,14 @@ class CouplingFunction:
         """Suggested grid size for root isolation on [a, b]."""
         raise NotImplementedError
 
+    def _scan_grid(self, a: float, b: float, n: int) -> np.ndarray:
+        """The points at which zeros_in samples f and f' on [a, b], n cells."""
+        return np.linspace(a, b, n + 1)
+
+    def _sign_floor(self, x):
+        """What |f(x)| must pass to have a sign: a multiple of _term_scale(x)."""
+        return 1e-13 * self._term_scale(x)
+
     def _zero_window(self) -> tuple[float, float]:
         """An interval past 0 whose roots hold every sign change of f on (0, inf)."""
         raise NotImplementedError
@@ -92,11 +100,11 @@ class CouplingFunction:
     @cached_property
     def sign_on_positives(self) -> str:
         # f keeps its sign between roots and past the window: probe midpoints and
-        # roots (a pair read as one dips there) against _term_scale
+        # roots (a pair read as one dips there) against _sign_floor
         zs = self.positive_zeros
         pts = np.array([0.0, *zs.values(), zs.interval[1]])
         probes = np.concatenate([0.5 * (pts[:-1] + pts[1:]), pts[1:-1]])
-        signs = _clear_signs(self(probes), self._term_scale(probes))
+        signs = _clear_signs(self(probes), self._sign_floor(probes))
         if signs <= {1.0}:
             return SIGN_NONNEG
         if signs <= {-1.0}:
@@ -201,10 +209,21 @@ class OddPolynomial(CouplingFunction):
         lo = roots.min() - 1.0 if roots.size else -1.0
         hi = roots.max() + 1.0 if roots.size else 1.0
         probes = np.array([lo, hi, *(0.5 * (roots[:-1] + roots[1:]))])
-        return _clear_signs(self.deriv(probes), _horner(np.abs(self._d), probes * probes)) == {1.0}
+        return _clear_signs(self.deriv(probes),
+                            1e-13 * _horner(np.abs(self._d), probes * probes)) == {1.0}
 
     def _term_scale(self, x):
         return np.abs(x) * _horner(np.abs(self.coeffs), x * x)
+
+    def _sign_floor(self, x):
+        # over twice the rounding error of _evaluate, (3K + 1) eps / 2 times
+        # _term_scale at degree K in x^2 (Higham, Accuracy and Stability, 5.3)
+        return 4 * len(self.coeffs) * np.finfo(float).eps * self._term_scale(x)
+
+    def _scan_grid(self, a, b, n):
+        # roots far below b share a uniform cell: past 0, add n cells uniform in log x
+        xs = np.linspace(a, b, n + 1)
+        return np.union1d(xs, np.geomspace(a, b, n + 1)) if a > 0 else xs
 
     def _zero_window(self):
         # no root lies past the Cauchy bound
@@ -230,10 +249,11 @@ def _horner(coeffs, u):
     return acc
 
 
-def _clear_signs(vals, scales) -> set[float]:
-    """Signs of the values past 1e-13 times their scale, the sum of the absolute
-    terms they were summed from, so c f and f agree for every c > 0."""
-    return set(np.sign(vals[(np.abs(vals) > 1e-13 * scales) | np.isinf(vals)]).tolist())
+def _clear_signs(vals, floors) -> set[float]:
+    """Signs of the values past their floors, each a multiple of the sum of
+    the absolute terms the value was summed from, so c f and f agree for
+    every c > 0."""
+    return set(np.sign(vals[(np.abs(vals) > floors) | np.isinf(vals)]).tolist())
 
 
 def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
@@ -420,7 +440,7 @@ def _bisect(fun, lo, hi, flo):
 def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     """All real roots of f in a bounded interval.
 
-    Sign-change roots are isolated by bracketing on a family-sized grid and
+    Sign-change roots are isolated by bracketing on the family's grid and
     refined by bisection; tangential roots (no sign change) are recovered as
     extrema of f, i.e. sign-change roots of f', at which f vanishes, or which
     split a close pair when f has the sign opposite to both cell ends (three
@@ -436,7 +456,7 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     if n_grid > SCAN_GRID_CAP:
         raise SearchBudgetExceededError(f"the zero scan of {f!r} on [{a!r}, {b!r}] needs "
                                         f"{n_grid} grid cells, past SCAN_GRID_CAP {SCAN_GRID_CAP}")
-    xs = np.linspace(a, b, n_grid + 1)
+    xs = f._scan_grid(a, b, n_grid)
     fs = np.asarray(f(xs))
 
     # roots sitting (numerically) on grid points
@@ -448,30 +468,39 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
 
     # tangential roots and close pairs, from the zeros of f'
     dfs = np.asarray(f.deriv(xs))
+    extrema = set()
     for i in np.nonzero(_sign_changes(dfs))[0]:
         lo, hi = float(xs[i]), float(xs[i + 1])
         xstar = _bisect(f.deriv, lo, hi, float(dfs[i]))
         fstar = float(f(xstar))
         if _vanishes(f, xstar):
             found.append(xstar)
+            extrema.add(xstar)
         elif np.sign(fs[i]) == np.sign(fs[i + 1]) == -np.sign(fstar):
             found += [_bisect(f, lo, xstar, float(fs[i])), _bisect(f, xstar, hi, fstar)]
 
-    # dedup, then decide the sign-change flag from nearby samples
+    # dedup, then decide the sign-change flag from nearby samples; a root
+    # found twice keeps its zero of f', the bottom of a close pair's dip
     sep = max(10 * ROOT_TOL, (b - a) * 1e-12)
     merged: list[float] = []
     for r in sorted(found):
         if not merged or (r - merged[-1] > sep and not _vanishes(f, 0.5 * (r + merged[-1]))):
             merged.append(r)
-    delta = max((b - a) / (4 * n_grid), 1e-7)
+        elif r in extrema:
+            merged[-1] = r
     near = np.array(merged)
+    # a quarter of the grid cell that holds each root, to either side
+    cell = np.diff(xs)[np.clip(np.searchsorted(xs, near) - 1, 0, xs.size - 2)]
+    delta = np.maximum(cell / 4, 1e-7)
     flips = np.sign(f(near - delta)) * np.sign(f(near + delta)) < 0
     return ZeroSet(interval=(a, b), roots=tuple(map(Root, merged, flips.tolist())))
 
 
 def _vanishes(f: CouplingFunction, x):
-    """|f(x)| <= ROOT_TOL times the sum of the absolute terms of f at x."""
-    return np.abs(f(x)) <= ROOT_TOL * f._term_scale(x)
+    """|f(x)| <= ROOT_TOL times the sum of the absolute terms of f at x, and
+    finite: where f overflows, so does that sum."""
+    v = np.abs(f(x))
+    return np.isfinite(v) & (v <= ROOT_TOL * f._term_scale(x))
 
 
 def _sign_changes(vals) -> np.ndarray:

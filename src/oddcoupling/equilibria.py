@@ -437,8 +437,9 @@ class EquilibriaPrediction:
 def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPrediction:
     """What the zero set of f alone says about the set of equilibria.
 
-    Exhaustive for polynomials (roots are inside the Cauchy bound) and for
-    periodic couplings (one period determines the zero set).
+    The window is exhaustive for polynomials (roots are inside the Cauchy
+    bound) and for periodic couplings (one period determines the zero set);
+    the scan of it is not: three roots in one grid cell can be missed.
     """
     if G.m < 1:
         raise ValidationError("prediction needs a graph with at least one edge")

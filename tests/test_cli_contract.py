@@ -13,8 +13,12 @@ import json
 import math
 import random
 import signal
+import time
 from contextlib import contextmanager
 
+import pytest
+
+from oddcoupling import cli as cli_module
 from oddcoupling.cli import run
 
 SEED = 2026
@@ -177,10 +181,16 @@ def case_argv(rng, files):
             "--point=" + point_text(rng, h, files)]
 
 
+class Hang(BaseException):
+    """Raised by the time guard: a BaseException, which no ``except
+    Exception`` clause in the program can take for a refused input (a
+    TimeoutError is an OSError, which ``cli.run`` turns into exit 2)."""
+
+
 @contextmanager
 def time_guard(seconds):
     def expire(signum, frame):
-        raise TimeoutError(f"no exit within {seconds} s")
+        raise Hang(f"no exit within {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
@@ -190,22 +200,41 @@ def time_guard(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def exit_code(i, argv, root, seconds=GUARD_S) -> int:
+    """The exit code of one case; a case that raises or hangs fails."""
+    try:
+        with time_guard(seconds):
+            return run(argv)
+    except SystemExit as exc:  # argparse refuses a flag value with exit 2
+        return exc.code
+    except (Exception, Hang) as exc:
+        inputs = {name: (root / name).read_text()
+                  for name in (a.split("=")[-1].lstrip("@") for a in argv)
+                  if name.startswith("in")}
+        raise AssertionError(f"case {i}: {argv} {inputs} raised {exc!r}") from exc
+
+
+def test_the_time_guard_fails_a_hung_case(tmp_path, monkeypatch):
+    # the guard's exception passes through cli.run's own handlers, which
+    # would take a TimeoutError for an unwritable file and exit 2
+    def sleeping(args):
+        time.sleep(5.0)
+
+    monkeypatch.setitem(cli_module._HANDLERS, "bounds", sleeping)
+    argv = ["bounds", "--graph", "g.json", "--coupling", "f.json"]
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="Hang"):
+        exit_code(0, argv, tmp_path, seconds=0.05)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_every_generated_run_ends_with_an_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     rng, files = random.Random(SEED), Files(tmp_path)
     ended = set()
     for i in range(CASES):
         argv = case_argv(rng, files)
-        try:
-            with time_guard(GUARD_S):
-                code = run(argv)
-        except SystemExit as exc:  # argparse refuses a flag value with exit 2
-            code = exc.code
-        except Exception as exc:
-            inputs = {name: (tmp_path / name).read_text()
-                      for name in (a.split("=")[-1].lstrip("@") for a in argv)
-                      if name.startswith("in")}
-            raise AssertionError(f"case {i}: {argv} {inputs} raised {exc!r}") from exc
+        code = exit_code(i, argv, tmp_path)
         assert code in (0, 2, 3), (i, argv, code)
         ended.add((" ".join(argv[:2]) if argv[0] == "cover" else argv[0], code))
         capsys.readouterr()

@@ -284,44 +284,78 @@ def test_prediction_finds_both_roots_of_a_close_pair(a):
     # f = x (x^2 - a)(x^2 - a - eps): y = sqrt(a) on the 2-vertex path is an
     # equilibrium, yet the grid scan met no sign change in the pair's cell
     # and the prediction read only_zero
-    for eps in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5):
+    for eps in (1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 1e-6):
         f = make_polynomial([a * (a + eps), -(2 * a + eps), 1.0])
         rep = predict_equilibria_class(path_graph(2), f)
         assert rep.kind == EquilibriaClass.NO_CONCLUSION, eps
+        assert f.sign_on_positives == SIGN_MIXED, eps
         pair = [math.sqrt(a), math.sqrt(a + eps)]
         if len(rep.nonzero_roots) == 1:
             # f's dip between the two is within ROOT_TOL of its term sum
-            # there, so they are one tangential root; only a = 2.5 with
-            # eps = 1e-5, 3.2e-6 apart
+            # there, so they are one tangential root, listed at the dip's
+            # bottom: every pair with eps = 1e-6, and a = 2.5 with eps = 1e-5,
+            # 3.2e-6 apart. The dip still passes the rounding error of f
             (r,) = rep.nonzero_roots
-            assert (a, eps) == (2.5, 1e-5)
-            assert pair[0] <= r <= pair[1]
+            assert eps == 1e-6 or (a, eps) == (2.5, 1e-5)
+            assert pair[0] < r < pair[1]
             assert abs(float(f(r))) <= ROOT_TOL * float(f._term_scale(r))
+            assert -float(f(r)) > float(f._sign_floor(r))
         else:
             assert np.allclose(rep.nonzero_roots, pair, rtol=0.0, atol=1e-9), eps
 
 
-@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
-@hypothesis.given(simple=st.lists(st.floats(0.1, 1.0), max_size=3),
-                  double=st.none() | st.floats(0.1, 1.0),
+@pytest.mark.parametrize("u_roots, want", [
+    # two simple roots in the first cell of the uniform grid, which holds no
+    # sign change of f or f', and a double root
+    ([1e-4, 4e-4, 9.0, 9.0], [0.01, 0.02, 3.0]),
+    # a pair 3.2e-7 apart, whose dip is 1e-14 of the term sum
+    ([2.5, 2.500001], [math.sqrt(2.500001 - 5e-7)]),
+    # x - 3 x^3 + 1e-5 x^5: roots at 0.577 and 547.7 in a window to 3e5
+    ([(3.0 - math.sqrt(9.0 - 4e-5)) / 2e-5, (3.0 + math.sqrt(9.0 - 4e-5)) / 2e-5],
+     [0.5773505899, 547.7222532]),
+])
+def test_prediction_sees_each_sign_change(u_roots, want):
+    f = make_polynomial(np.polynomial.polynomial.polyfromroots(u_roots))
+    rep = predict_equilibria_class(path_graph(2), f)
+    assert f.sign_on_positives == SIGN_MIXED
+    assert rep.kind == EquilibriaClass.NO_CONCLUSION
+    assert np.allclose(rep.nonzero_roots, want, rtol=1e-6, atol=0.0)
+
+
+def test_prediction_takes_no_overflow_for_a_root():
+    # x + 1e-300 x^3 is increasing with no positive root, but overflows in
+    # the scan window, which the Cauchy bound stretches to 1e300
+    f = make_polynomial([1.0, 0.0, 1e-300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = predict_equilibria_class(path_graph(2), f)
+        assert f.sign_on_positives == SIGN_NONNEG
+    assert rep.kind == EquilibriaClass.ONLY_ZERO
+    assert rep.nonzero_roots == ()
+    assert rep.global_convergence
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+@hypothesis.given(simple=st.lists(st.floats(-2.5, 1.0).map(lambda e: 10.0 ** e), max_size=3),
+                  double=st.none() | st.floats(-2.5, 1.0).map(lambda e: 10.0 ** e),
                   c=st.floats(0.01, 100.0) | st.floats(-100.0, -0.01))
 def test_prediction_of_a_polynomial_built_from_its_roots(simple, double, c):
     # f = c x p(x^2), p with simple roots at the squares of ``simple`` and a
-    # double root at the square of ``double``. Roots two grid cells apart
-    # or more: the scan does not promise to find three in one cell
+    # double root at the square of ``double``, spread over three decades.
+    # Each root in a cell of its own: the scan does not promise to find
+    # three in one cell
     doubled = [] if double is None else [double]
     roots = sorted(simple + doubled)
     u = [r * r for r in simple + doubled + doubled]
     f = make_polynomial(c * np.polynomial.polynomial.polyfromroots(u) if u else [c])
     lo, hi = f.positive_zeros.interval
-    cell = (hi - lo) / f.scan_resolution(lo, hi)
-    hypothesis.assume(all(s - r > 2 * cell for r, s in zip(roots, roots[1:])))
+    xs = f._scan_grid(lo, hi, f.scan_resolution(lo, hi))
+    hypothesis.assume(np.all(np.diff(np.searchsorted(xs, roots)) > 0))
     rep = predict_equilibria_class(path_graph(2), f)
     assert len(rep.nonzero_roots) == len(roots)
     for r, want in zip(rep.nonzero_roots, roots):
         # a double root is where |f| <= ROOT_TOL times its term sum, which
-        # holds some 1e-6 either side of it
-        assert abs(r - want) <= (1e-5 if want == double else 1e-9)
+        # holds some 1e-6 times the root either side of it
+        assert abs(r - want) <= (1e-5 if want == double else 1e-9) * max(1.0, want)
     # f changes sign exactly at a root of odd multiplicity
     if simple:
         assert f.sign_on_positives == SIGN_MIXED
