@@ -92,10 +92,13 @@ def parse_values(text: str, cast, what: str) -> list:
         raise ValidationError(f"{what} {text!r}: {exc}") from exc
 
 
-def parse_point(text: str, n: int) -> np.ndarray:
-    x = np.array(parse_values(text, float, "point"), dtype=float)
+def parse_point(text: str, n: int, what: str = "point") -> np.ndarray:
+    x = np.array(parse_values(text, float, what), dtype=float)
     if x.shape != (n,):
-        raise ValidationError(f"point has length {x.size}, graph has {n} vertices")
+        raise ValidationError(f"{what} has length {x.size}, graph has {n} vertices")
+    # refused here, before a residual of 0 (no edges) or NaN gives another reason
+    if not np.isfinite(x).all():
+        raise ValidationError(f"{what} must be finite")
     return x
 
 
@@ -321,7 +324,7 @@ def _cmd_stability(args) -> int:
 def _cmd_simulate(args) -> int:
     G = load_graph(args.graph)
     f = load_coupling(args.coupling)
-    x0 = parse_point(args.x0, G.n)
+    x0 = parse_point(args.x0, G.n, "x0")
     traj = simulate_mod.integrate(G, f, x0, t_end=args.t_end,
                                   rtol=args.rtol, atol=args.atol)
     if args.csv:

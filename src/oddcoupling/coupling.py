@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .defaults import ROOT_MAX_BISECT, ROOT_TOL, SCAN_GRID_CAP
+from .defaults import ROOT_TOL, SCAN_GRID_CAP
 from .errors import AllZeroError, SearchBudgetExceededError, ValidationError
 
 SIGN_NONNEG = "nonneg"
@@ -75,20 +75,17 @@ class CouplingFunction:
         only defined up to a constant; compare differences, not values."""
         raise NotImplementedError
 
-    def scan_resolution(self, a: float, b: float) -> int:
-        """Suggested grid size for root isolation on [a, b]."""
+    def _deriv2_bound(self, hi):
+        """A bound on |f''| over [0, hi], elementwise in an array hi."""
         raise NotImplementedError
-
-    def _scan_grid(self, a: float, b: float, n: int) -> np.ndarray:
-        """The points at which zeros_in samples f and f' on [a, b], n cells."""
-        return np.linspace(a, b, n + 1)
 
     def _sign_floor(self, x):
         """What |f(x)| must pass to have a sign: a multiple of _term_scale(x)."""
         return 1e-13 * self._term_scale(x)
 
     def _zero_window(self) -> tuple[float, float]:
-        """An interval past 0 whose roots hold every sign change of f on (0, inf)."""
+        """(L, U): f has no root in (0, L), and the roots in [L, U] hold every
+        sign change of f on (0, inf)."""
         raise NotImplementedError
 
     @cached_property
@@ -99,11 +96,12 @@ class CouplingFunction:
 
     @cached_property
     def sign_on_positives(self) -> str:
-        # f keeps its sign between roots and past the window: probe midpoints and
-        # roots (a pair read as one dips there) against _sign_floor
+        # f keeps its sign between the roots and the window's ends: probe the
+        # geometric means, in range where f overflows past its largest root,
+        # and the roots (a pair read as one dips there) against _sign_floor
         zs = self.positive_zeros
-        pts = np.array([0.0, *zs.values(), zs.interval[1]])
-        probes = np.concatenate([0.5 * (pts[:-1] + pts[1:]), pts[1:-1]])
+        pts = np.array([zs.interval[0], *zs.values(), zs.interval[1]])
+        probes = np.concatenate([np.sqrt(pts[:-1] * pts[1:]), pts[1:-1]])
         signs = _clear_signs(self(probes), self._sign_floor(probes))
         if signs <= {1.0}:
             return SIGN_NONNEG
@@ -194,23 +192,12 @@ class OddPolynomial(CouplingFunction):
         lead = self.coeffs[-1]
         return 1.0 + max(abs(c / lead) for c in self.coeffs)
 
-    def scan_resolution(self, a, b):
-        return max(256, 64 * (2 * len(self.coeffs) + 1))
-
     @cached_property
     def increasing(self) -> bool:
-        # increasing iff f' >= 0 everywhere with isolated zeros: sample f'
-        # strictly between consecutive real roots of f' and beyond the extremes;
-        # f' = sum_k d_k x^(2k), whose roots come from its companion matrix
-        full = np.zeros(2 * len(self._d) - 1)
-        full[::2] = self._d
-        roots = np.polynomial.polynomial.polyroots(full)
-        roots = np.sort(roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real)
-        lo = roots.min() - 1.0 if roots.size else -1.0
-        hi = roots.max() + 1.0 if roots.size else 1.0
-        probes = np.array([lo, hi, *(0.5 * (roots[:-1] + roots[1:]))])
-        return _clear_signs(self.deriv(probes),
-                            1e-13 * _horner(np.abs(self._d), probes * probes)) == {1.0}
+        # f' is even and x f'(x) = sum_k d_k x^(2k+1) has its sign on (0, inf),
+        # so f' >= 0, with the isolated zeros of a nonzero polynomial, exactly
+        # when that odd polynomial is nonneg there
+        return OddPolynomial(self._d).sign_on_positives == SIGN_NONNEG
 
     def _term_scale(self, x):
         return np.abs(x) * _horner(np.abs(self.coeffs), x * x)
@@ -220,14 +207,23 @@ class OddPolynomial(CouplingFunction):
         # _term_scale at degree K in x^2 (Higham, Accuracy and Stability, 5.3)
         return 4 * len(self.coeffs) * np.finfo(float).eps * self._term_scale(x)
 
-    def _scan_grid(self, a, b, n):
-        # roots far below b share a uniform cell: past 0, add n cells uniform in log x
-        xs = np.linspace(a, b, n + 1)
-        return np.union1d(xs, np.geomspace(a, b, n + 1)) if a > 0 else xs
+    def _deriv2_bound(self, hi):
+        # f'' = x sum_k d2_k x^(2k), whose absolute terms grow with x
+        return hi * _horner([abs(c) for c in self._d2], hi * hi)
 
     def _zero_window(self):
-        # no root lies past the Cauchy bound
-        return 1e-9, self.cauchy_root_bound() + 1.0
+        # f / x = p(x^2): with the lowest power of x divided out, the Cauchy
+        # bounds of p and of its reverse hold every positive root u = x^2,
+        # |c_j| / (|c_j| + max_(k>j) |c_k|) <= u <= 1 + max_k |c_k / c_lead|
+        c = [abs(c) for c in self.coeffs]
+        j = next(k for k, ck in enumerate(c) if ck)
+        low = max(math.sqrt(c[j] / (c[j] + max(c[j + 1:], default=0.0))),
+                  # below this the lowest term is subnormal, short of the
+                  # relative precision a root needs
+                  (np.finfo(float).tiny / c[j]) ** (1.0 / (2 * j + 1)))
+        high = math.sqrt(self.cauchy_root_bound())
+        # a root on a bound, as rounding can put it, lies inside the scan
+        return 0.5 * min(low, high), 2.0 * high
 
     def to_dict(self):
         return {"family": "odd_poly", "coeffs": list(self.coeffs)}
@@ -323,6 +319,7 @@ class SineCombination(CouplingFunction):
         if not all(map(math.isfinite, sums)):
             raise ValidationError(f"{self.family} amplitudes {dict(self.terms)} sum past "
                                   "the float range in f, f', f'' or the primitive")
+        self._bound1, self._bound2 = sums[1], sums[2]
 
     def __call__(self, x):
         return _term_sum(self._sin, np.sin, x)
@@ -342,16 +339,32 @@ class SineCombination(CouplingFunction):
             out += a * (1.0 - np.cos(w * x)) / w
         return out
 
-    def scan_resolution(self, a, b):
-        kmax = max(k for k, _ in self.terms)
-        return max(256, int(32 * kmax * (b - a) / self.P) + 32)
+    def _deriv2_bound(self, hi):
+        return self._bound2
 
     def _term_scale(self, x):
         return _term_sum([(w, abs(a)) for w, a in self._sin], lambda t: np.abs(np.sin(t)), x)
 
+    def _sign_floor(self, x):
+        # the rounding of each argument w x moves sin(w x) by up to eps |w x|,
+        # which the term sum misses where the terms vanish, as at x = pi
+        return super()._sign_floor(x) + np.finfo(float).eps * self._bound1 * np.abs(x)
+
     def _zero_window(self):
-        # one period holds every sign f takes
-        return 1e-9, self.periodic - 1e-9
+        # one period T holds every sign. In y = w_max x, f = sum over j of
+        # t_j y^(2j+1) / (2j+1)!, t_j = (-1)^j sum a v^(2j+1), v = w / w_max.
+        # Past the first t_j clear of the floor, the Lagrange remainders sum to
+        # at most sum |a| (v y)^(2j+3) / (2j+3)!, so no root has y^2 below
+        # |t_j| (2j+2)(2j+3) / sum |a| v^(2j+3), nor, as f(T - x) = -f(x), above T less it
+        wmax = max(w for w, _ in self._sin)
+        terms = [(w / wmax, a) for w, a in self._sin]
+        for j in range(len(terms)):
+            t = sum(a * v ** (2 * j + 1) for v, a in terms)
+            if abs(t) > 1e-13 * sum(abs(a) * v ** (2 * j + 1) for v, a in terms):
+                break
+        rest = sum(abs(a) * v ** (2 * j + 3) for v, a in terms)
+        low = 0.5 * math.sqrt(abs(t) * (2 * j + 2) * (2 * j + 3) / rest) / wmax
+        return low, self.periodic - low
 
     def to_dict(self):
         return {"family": self.family, "terms": {str(k): a for k, a in self.terms}}
@@ -421,89 +434,109 @@ def coupling_from_dict(data: dict) -> CouplingFunction:
     raise ValidationError(f"unknown coupling family {family!r}")
 
 
-def _bisect(fun, lo, hi, flo):
-    """Shrink a sign-change bracket; returns the midpoint root."""
-    for _ in range(ROOT_MAX_BISECT):
-        if hi - lo < ROOT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = float(fun(mid))
-        if fm == 0.0:
-            return mid
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     """All real roots of f in a bounded interval.
 
-    Sign-change roots are isolated by bracketing on the family's grid and
-    refined by bisection; tangential roots (no sign change) are recovered as
-    extrema of f, i.e. sign-change roots of f', at which f vanishes, or which
-    split a close pair when f has the sign opposite to both cell ends (three
-    roots in one cell can be missed). f vanishes at x when |f(x)| is at most
-    ROOT_TOL times _term_scale(x), the sum of the absolute terms of f there,
-    so c f and f have the same roots for every c > 0; ROOT_TOL is also the
-    bisection width in x. Finds with f vanishing between them are one root.
+    f is odd: 0 is a root, where f changes sign, the roots below 0 mirror
+    those above, and none lies in (0, L), L the lower end of the family's
+    window. So one _scan of |x| over the rest finds them all.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
         raise ValidationError(f"need a bounded interval, got {interval!r}")
-    n_grid = f.scan_resolution(a, b)
-    if n_grid > SCAN_GRID_CAP:
-        raise SearchBudgetExceededError(f"the zero scan of {f!r} on [{a!r}, {b!r}] needs "
-                                        f"{n_grid} grid cells, past SCAN_GRID_CAP {SCAN_GRID_CAP}")
-    xs = f._scan_grid(a, b, n_grid)
-    fs = np.asarray(f(xs))
+    lo = max(0.0 if a <= 0.0 <= b else min(abs(a), abs(b)), f._zero_window()[0])
+    hi = max(abs(a), abs(b))
+    roots = [Root(0.0, True)] if a <= 0.0 <= b else []
+    for r in (_scan(f, lo, hi) if hi > lo else []):
+        roots += [Root(x, r.sign_change) for x in (-r.value, r.value) if a <= x <= b]
+    return ZeroSet(interval=(a, b), roots=tuple(sorted(roots, key=lambda r: r.value)))
 
-    # roots sitting (numerically) on grid points
-    found = xs[_vanishes(f, xs)].tolist()
 
-    # strict sign changes, from the signs: a product of tiny values underflows
-    for i in np.nonzero(_sign_changes(fs))[0]:
-        found.append(_bisect(f, float(xs[i]), float(xs[i + 1]), float(fs[i])))
+def _scan(f: CouplingFunction, lo: float, hi: float) -> list[Root]:
+    """The roots of f in [lo, hi], 0 < lo < hi, by exclusion-bisection
+    (J.-C. Yakoubsohn, J. Complexity 21, 2005), one level of cells at a time.
 
-    # tangential roots and close pairs, from the zeros of f'
-    dfs = np.asarray(f.deriv(xs))
-    extrema = set()
-    for i in np.nonzero(_sign_changes(dfs))[0]:
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        xstar = _bisect(f.deriv, lo, hi, float(dfs[i]))
-        fstar = float(f(xstar))
-        if _vanishes(f, xstar):
-            found.append(xstar)
-            extrema.add(xstar)
-        elif np.sign(fs[i]) == np.sign(fs[i + 1]) == -np.sign(fstar):
-            found += [_bisect(f, lo, xstar, float(fs[i])), _bisect(f, xstar, hi, fstar)]
+    A cell [a, b] splits at its geometric mean m, h = b - m, M2 the family's
+    bound on |f''|, until it is settled:
+      excluded -- |f(m)| > _sign_floor(m) + h |f'(m)| + M2 h^2 / 2 (f keeps
+                  its sign), or f(m) overflows;
+      monotone -- |f'(m)| > h M2: a root, bisected, only if its ends differ
+                  in sign;
+      a leaf   -- narrower than ROOT_TOL b, or within the sign floor all
+                  over, as near a triple root; a root if f vanishes at m.
+    Finds with f vanishing between neighbours are one root, at the leaf with
+    the least |f'|, a sign change if the clear signs either side differ; two
+    sign changes are never one. SCAN_GRID_CAP bounds the cells visited.
+    """
+    a, b = np.array([lo]), np.array([hi])
+    fa, fb = f(a), f(b)
+    clear = [(a, fa, f._sign_floor(a)), (b, fb, f._sign_floor(b))]
+    finds, slopes, brackets, visited = [], [], [], 0  # slope: |f'| at a leaf
+    while a.size:
+        visited += a.size
+        if visited > SCAN_GRID_CAP:
+            raise SearchBudgetExceededError(
+                f"the zero scan of {f!r} on [{lo!r}, {hi!r}] visits over "
+                f"SCAN_GRID_CAP {SCAN_GRID_CAP} cells")
+        m = np.sqrt(a * b)
+        h = b - m
+        fm, dm, floor = f(m), np.abs(f.deriv(m)), f._sign_floor(m)
+        bound2 = f._deriv2_bound(b)
+        spread = h * dm + 0.5 * bound2 * h * h
+        clear.append((m, fm, floor))
+        excluded = ~np.isfinite(fm) | (np.abs(fm) > floor + spread)
+        monotone = ~excluded & (dm > h * bound2)
+        bracket = monotone & ((fa < 0) != (fb < 0))
+        brackets.append((a[bracket], b[bracket], fa[bracket]))
+        leaf = ~excluded & ~monotone & ((b - a <= ROOT_TOL * b) | (np.abs(fm) + spread <= floor))
+        root = _vanishes(f, m[leaf])
+        finds += m[leaf][root].tolist()
+        slopes += dm[leaf][root].tolist()
+        split = ~(excluded | monotone | leaf)
+        a, m, b = a[split], m[split], b[split]
+        fa, fm, fb = fa[split], fm[split], fb[split]
+        a, b, fa, fb = (np.concatenate(pair) for pair in ((a, m), (m, b), (fa, fm), (fm, fb)))
+    signed = _bisect(f, *(np.concatenate(col) for col in zip(*brackets))).tolist()
+    finds, slopes = finds + signed, slopes + [math.inf] * len(signed)
 
-    # dedup, then decide the sign-change flag from nearby samples; a root
-    # found twice keeps its zero of f', the bottom of a close pair's dip
-    sep = max(10 * ROOT_TOL, (b - a) * 1e-12)
-    merged: list[float] = []
-    for r in sorted(found):
-        if not merged or (r - merged[-1] > sep and not _vanishes(f, 0.5 * (r + merged[-1]))):
-            merged.append(r)
-        elif r in extrema:
-            merged[-1] = r
-    near = np.array(merged)
-    # a quarter of the grid cell that holds each root, to either side
-    cell = np.diff(xs)[np.clip(np.searchsorted(xs, near) - 1, 0, xs.size - 2)]
-    delta = np.maximum(cell / 4, 1e-7)
-    flips = np.sign(f(near - delta)) * np.sign(f(near + delta)) < 0
-    return ZeroSet(interval=(a, b), roots=tuple(map(Root, merged, flips.tolist())))
+    xs, vals, floors = (np.concatenate(col) for col in zip(*clear))
+    sure = np.abs(vals) > floors  # where f has a clear sign
+    order = np.argsort(xs[sure])
+    xs, signs = xs[sure][order], np.sign(vals[sure])[order]
+    order = np.argsort(finds)
+    finds, slopes = np.array(finds)[order], np.array(slopes)[order]
+    apart = ~_vanishes(f, 0.5 * (finds[:-1] + finds[1:]))
+    roots = []
+    clusters = np.split(np.arange(finds.size), np.flatnonzero(apart) + 1) if finds.size else []
+    for cluster in clusters:
+        if np.isinf(slopes[cluster]).all():
+            roots += [Root(x, True) for x in finds[cluster].tolist()]
+            continue
+        i = np.searchsorted(xs, finds[cluster[0]])
+        j = np.searchsorted(xs, finds[cluster[-1]], side="right")
+        flip = 0 < i and j < xs.size and signs[i - 1] != signs[j]
+        roots.append(Root(float(finds[cluster[np.argmin(slopes[cluster])]]), bool(flip)))
+    return roots
+
+
+def _bisect(f: CouplingFunction, a, b, fa):
+    """One sign-change root in each cell [a, b], with f(a) = fa: the cells
+    are halved at their geometric means until narrower than ROOT_TOL b."""
+    while True:
+        m = np.sqrt(a * b)
+        wide = b - a > ROOT_TOL * b
+        if not wide.any():
+            return m
+        fm = f(m)
+        lower = wide & ((fa < 0) != (fm < 0))
+        upper = wide & ~lower
+        b = np.where(lower, m, b)
+        a, fa = np.where(upper, m, a), np.where(upper, fm, fa)
 
 
 def _vanishes(f: CouplingFunction, x):
-    """|f(x)| <= ROOT_TOL times the sum of the absolute terms of f at x, and
-    finite: where f overflows, so does that sum."""
+    """|f(x)| finite and at most ROOT_TOL times the sum of the absolute terms
+    of f at x, plus twice the sign floor, which outweighs that sum where the
+    terms vanish (a sine at pi) and which |f| may reach at a leaf."""
     v = np.abs(f(x))
-    return np.isfinite(v) & (v <= ROOT_TOL * f._term_scale(x))
-
-
-def _sign_changes(vals) -> np.ndarray:
-    """Whether each pair of consecutive values has opposite strict signs."""
-    signs = np.sign(vals)
-    return signs[:-1] * signs[1:] < 0
+    return np.isfinite(v) & (v <= ROOT_TOL * f._term_scale(x) + 2 * f._sign_floor(x))

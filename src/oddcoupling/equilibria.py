@@ -437,15 +437,14 @@ class EquilibriaPrediction:
 def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPrediction:
     """What the zero set of f alone says about the set of equilibria.
 
-    The window is exhaustive for polynomials (roots are inside the Cauchy
-    bound) and for periodic couplings (one period determines the zero set);
-    the scan of it is not: three roots in one grid cell can be missed.
+    The witnesses are the positive roots of f in the family's window, which
+    holds every one for polynomials (between the Cauchy bounds of f / x and
+    of its reverse) and for periodic couplings (one period past a Taylor
+    bound at 0), found by the certified exclusion scan of coupling.zeros_in.
     """
     if G.m < 1:
         raise ValidationError("prediction needs a graph with at least one edge")
-    # roots below 1e-6 are the forced root at the origin leaking into the
-    # scan window (every odd f vanishes at 0)
-    roots = tuple(r for r in f.positive_zeros.values() if r > 1e-6)
+    roots = tuple(f.positive_zeros.values())
     if not roots:
         kind = EquilibriaClass.ONLY_ZERO
     elif f.sign_on_positives != SIGN_MIXED:

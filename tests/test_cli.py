@@ -613,13 +613,12 @@ def write_extreme_inputs(workdir):
     # f' is finite, but the centre's Hessian entry sums three of them to inf
     (["stability", "--graph", "star.json", "--coupling", "spike.json", "--point", "0,0,0,0"],
      3, "the energy Hessian is not finite"),
-    # a state at infinity has a residual that is not finite, and is no equilibrium
-    (["stability", *P2, "--point", "inf,0"], 2, "residual inf: not an equilibrium"),
-    (["continue", *P2, "--point", "inf,0"], 2, "start residual inf exceeds tolerance"),
+    # a state at infinity is refused as it is read, before its residual
+    (["stability", *P2, "--point", "inf,0"], 2, "point must be finite"),
+    (["continue", *P2, "--point", "inf,0"], 2, "point must be finite"),
     (["cover", "lift", "--graph", "c3.json", "--target", "c3.json", "--phi", "0,1,2",
-      "--coupling", "cubic.json", "--point", "inf,0,0"], 2,
-     "input residual nan exceeds tolerance"),
-    (["basin", *P2, "--point", "inf,0"], 2, "residual inf: not an accepted equilibrium"),
+      "--coupling", "cubic.json", "--point", "inf,0,0"], 2, "point must be finite"),
+    (["basin", *P2, "--point", "inf,0"], 2, "point must be finite"),
     # finite parameters out of the range the root bound and the primitive need
     (["bounds", "--graph", "c3.json", "--coupling", "tiny_lead.json"], 2,
      "odd_poly leading coefficient 2.2250738585e-313 is too small"),
@@ -646,6 +645,18 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
     assert got == code
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["stability", "basin", "continue"])
+def test_non_finite_point_on_an_edgeless_graph_is_refused_as_such(workdir, capsys,
+                                                                 monkeypatch, command):
+    # with no edges the residual is 0 and a NaN state's tolerance NaN, which
+    # read "not an equilibrium" or "exceeds tolerance"
+    monkeypatch.chdir(workdir)
+    (workdir / "two.json").write_text(json.dumps({"n": 2, "edges": []}))
+    (workdir / "cubic.json").write_text(json.dumps({"family": "odd_poly", "coeffs": [-1.0, 1.0]}))
+    assert run([command, "--graph", "two.json", "--coupling", "cubic.json", "--point=nan,0"]) == 2
+    assert capsys.readouterr().err == "error: point must be finite\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -234,7 +234,8 @@ def test_polynomial_flags_ignore_scale(coeffs, flags):
 
 
 def test_zero_scan_past_its_cap_ends_at_once():
-    # harmonic 10^5 asks for a scan of 6.4 million cells over one period; in a
+    # next to harmonic 10^6, f'' reaches 1e9 and no cell wider than about
+    # 1e-4 is excluded, so the scan of one period passes SCAN_GRID_CAP; in a
     # subprocess, so that a scan that runs on fails the test
     src = Path(importlib.util.find_spec("oddcoupling").origin).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -243,7 +244,7 @@ def test_zero_scan_past_its_cap_ends_at_once():
         import time
         from oddcoupling import build_graph, make_sine_combination, predict_equilibria_class
         from oddcoupling.errors import SearchBudgetExceededError
-        f = make_sine_combination({1: 1.0, 100000: 1e-3})
+        f = make_sine_combination({1: 1.0, 1000000: 1e-3})
         for flags in (lambda: f.sign_on_positives,
                       lambda: predict_equilibria_class(build_graph([(0, 1)]), f)):
             start = time.perf_counter()
@@ -257,6 +258,22 @@ def test_zero_scan_past_its_cap_ends_at_once():
     assert proc.returncode == 0, proc.stderr
     elapsed = [float(t) for t in proc.stdout.split()]
     assert len(elapsed) == 2 and max(elapsed) < 1.0, elapsed
+
+
+def test_zero_scan_follows_the_roots_not_the_harmonic():
+    # sin x + 1e-3 sin(1e5 x) crosses zero only where |sin x| < 1e-3: 32 times
+    # past 0, 63 times about pi and 32 times before 2 pi. A uniform grid
+    # asked for 6.4 million cells; the exclusion scan visits about 40,000
+    f = make_sine_combination({1: 1.0, 100000: 1e-3})
+    zs = f.positive_zeros
+    roots = np.array(zs.values())
+    assert len(roots) == 127 and all(r.sign_change for r in zs.roots)
+    assert [np.sum(np.abs(roots - c) < 1e-3) for c in (0.0, math.pi, 2 * math.pi)] == [32, 63, 32]
+    # f alternates in sign between consecutive roots, so each is a crossing
+    signs = np.sign(f(np.concatenate([[zs.interval[0]], (roots[:-1] + roots[1:]) / 2,
+                                      [zs.interval[1]]])))
+    assert np.all(signs[:-1] * signs[1:] < 0)
+    assert f.sign_on_positives == SIGN_MIXED
 
 
 def test_serialization_round_trip():
@@ -350,22 +367,16 @@ poly_coeffs = st.tuples(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), amplitu
                                  min_size=1, max_size=6),
     P=st.one_of(st.just(math.pi), st.floats(1e-3, 1e3)),
     xs=st.lists(points, min_size=1, max_size=8),
-    interval=st.tuples(st.floats(-20.0, 0.0), st.floats(0.1, 20.0)),
 )
-def test_sine_families_keep_their_old_bits(coeffs, sum_terms, series_terms, P, xs, interval):
-    a, b = interval
-    for f, old, scan in [
-            *[(f, partial(old_odd_poly, coeffs), 64 * (2 * len(coeffs) + 1))
-              for f in polynomials_in_range(coeffs)],
-            (make_sine_combination(sum_terms), partial(old_sine_sum, sorted(sum_terms.items())),
-             int(32 * max(sum_terms) * (b - a) / math.pi) + 32),
+def test_sine_families_keep_their_old_bits(coeffs, sum_terms, series_terms, P, xs):
+    for f, old in [
+            *[(f, partial(old_odd_poly, coeffs)) for f in polynomials_in_range(coeffs)],
+            (make_sine_combination(sum_terms), partial(old_sine_sum, sorted(sum_terms.items()))),
             (make_sine_series(P, series_terms),
-             partial(old_sine_series, P, sorted(series_terms.items())),
-             int(32 * max(series_terms) * (b - a) / P) + 32)]:
+             partial(old_sine_series, P, sorted(series_terms.items())))]:
         for x in (np.array(xs), np.array(xs[0])):
             for name, want in zip(EVALUATIONS, old(x)):
                 same_bits(getattr(f, name)(x), want)
-        assert f.scan_resolution(a, b) == max(256, scan)
 
 
 # signed zeros, subnormals, infinities, nan, and values whose powers overflow

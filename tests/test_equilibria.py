@@ -264,19 +264,20 @@ def test_prediction_of_a_tiny_sine_has_one_witness():
                          ids=["sine_sum", "sine_series", "odd_poly"])
 def test_prediction_scans_each_coupling_once(monkeypatch, make):
     # the prediction and sign_on_positives share one scan of the family's
-    # window; a fresh coupling, since the scan is cached on it
+    # window; a fresh coupling, since the scan is cached on it. A polynomial's
+    # increasing scans x f'(x), another coupling, so only scans of f count
     f, calls = make(), []
 
-    def counted(*args):
-        calls.append(args)
-        return zeros_in(*args)
+    def counted(g, interval):
+        calls.append(g)
+        return zeros_in(g, interval)
 
     monkeypatch.setattr(coupling, "zeros_in", counted)
     predict_equilibria_class(path_graph(2), f)
-    assert len(calls) == 1
+    assert calls.count(f) == 1
     predict_equilibria_class(cycle_graph(3), f)
     assert f.sign_on_positives == SIGN_MIXED
-    assert len(calls) == 1
+    assert calls.count(f) == 1
 
 
 @pytest.mark.parametrize("a", np.linspace(0.3, 2.5, 23))
@@ -340,16 +341,15 @@ def test_prediction_takes_no_overflow_for_a_root():
                   c=st.floats(0.01, 100.0) | st.floats(-100.0, -0.01))
 def test_prediction_of_a_polynomial_built_from_its_roots(simple, double, c):
     # f = c x p(x^2), p with simple roots at the squares of ``simple`` and a
-    # double root at the square of ``double``, spread over three decades.
-    # Each root in a cell of its own: the scan does not promise to find
-    # three in one cell
+    # double root at the square of ``double``, spread over three decades
     doubled = [] if double is None else [double]
     roots = sorted(simple + doubled)
+    # apart by 1% at least: a simple root nearer a double one is resolved
+    # only to the rounding error of f over its slope there, and roots drawn
+    # twice are one root of higher order
+    hypothesis.assume(all(b > 1.01 * a for a, b in zip(roots, roots[1:])))
     u = [r * r for r in simple + doubled + doubled]
     f = make_polynomial(c * np.polynomial.polynomial.polyfromroots(u) if u else [c])
-    lo, hi = f.positive_zeros.interval
-    xs = f._scan_grid(lo, hi, f.scan_resolution(lo, hi))
-    hypothesis.assume(np.all(np.diff(np.searchsorted(xs, roots)) > 0))
     rep = predict_equilibria_class(path_graph(2), f)
     assert len(rep.nonzero_roots) == len(roots)
     for r, want in zip(rep.nonzero_roots, roots):
