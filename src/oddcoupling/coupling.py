@@ -85,7 +85,8 @@ class CouplingFunction:
 
     def _zero_window(self) -> tuple[float, float]:
         """(L, U): f has no root in (0, L), and the roots in [L, U] hold every
-        sign change of f on (0, inf)."""
+        sign change of f on (0, inf), except, for a polynomial, the roots at
+        which its lowest term is subnormal: L lies above them."""
         raise NotImplementedError
 
     @cached_property
@@ -96,13 +97,14 @@ class CouplingFunction:
 
     @cached_property
     def sign_on_positives(self) -> str:
-        # f keeps its sign between the roots and the window's ends: probe the
-        # geometric means, in range where f overflows past its largest root,
-        # and the roots (a pair read as one dips there) against _sign_floor
+        # f keeps its sign between the roots and the window's ends: probe their
+        # geometric means, in range where f overflows past its largest root, and
+        # the roots (a pair read as one dips there) against the scale-free floor
         zs = self.positive_zeros
         pts = np.array([zs.interval[0], *zs.values(), zs.interval[1]])
         probes = np.concatenate([np.sqrt(pts[:-1] * pts[1:]), pts[1:-1]])
-        signs = _clear_signs(self(probes), self._sign_floor(probes))
+        vals = self(probes)
+        signs = set(np.sign(vals[(np.abs(vals) > self._sign_floor(probes)) | np.isinf(vals)]))
         if signs <= {1.0}:
             return SIGN_NONNEG
         if signs <= {-1.0}:
@@ -194,10 +196,13 @@ class OddPolynomial(CouplingFunction):
 
     @cached_property
     def increasing(self) -> bool:
-        # f' is even and x f'(x) = sum_k d_k x^(2k+1) has its sign on (0, inf),
-        # so f' >= 0, with the isolated zeros of a nonzero polynomial, exactly
-        # when that odd polynomial is nonneg there
-        return OddPolynomial(self._d).sign_on_positives == SIGN_NONNEG
+        # f' is even and x f'(x) = sum_k d_k x^(2k+1) has its sign on (0, inf):
+        # f' >= 0, with isolated zeros, exactly when f' > 0 next to 0, where the
+        # lowest d_k rules, and that odd polynomial is nonneg. Scaled by 2^-s
+        # <= 1 / (2K + 1), exactly, its tables lie in the range checked for f's
+        s = (2 * len(self._d) - 1).bit_length()
+        slope = OddPolynomial([math.ldexp(d, -s) for d in self._d])
+        return next(d for d in self._d if d) > 0 and slope.sign_on_positives == SIGN_NONNEG
 
     def _term_scale(self, x):
         return np.abs(x) * _horner(np.abs(self.coeffs), x * x)
@@ -243,13 +248,6 @@ def _horner(coeffs, u):
         acc *= u
         acc += c
     return acc
-
-
-def _clear_signs(vals, floors) -> set[float]:
-    """Signs of the values past their floors, each a multiple of the sum of
-    the absolute terms the value was summed from, so c f and f agree for
-    every c > 0."""
-    return set(np.sign(vals[(np.abs(vals) > floors) | np.isinf(vals)]).tolist())
 
 
 def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
@@ -438,8 +436,8 @@ def zeros_in(f: CouplingFunction, interval) -> ZeroSet:
     """All real roots of f in a bounded interval.
 
     f is odd: 0 is a root, where f changes sign, the roots below 0 mirror
-    those above, and none lies in (0, L), L the lower end of the family's
-    window. So one _scan of |x| over the rest finds them all.
+    those above, and none in (0, L), L the lower end of the family's window,
+    is within the scan's reach. So one _scan of |x| over the rest finds them.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)) or not b > a:
@@ -458,10 +456,12 @@ def _scan(f: CouplingFunction, lo: float, hi: float) -> list[Root]:
 
     A cell [a, b] splits at its geometric mean m, h = b - m, M2 the family's
     bound on |f''|, until it is settled:
-      excluded -- |f(m)| > _sign_floor(m) + h |f'(m)| + M2 h^2 / 2 (f keeps
-                  its sign), or f(m) overflows;
-      monotone -- |f'(m)| > h M2: a root, bisected, only if its ends differ
-                  in sign;
+      excluded -- |f(m)| > _sign_floor(m) + h |f'(m)| + M2 h^2 / 2: f keeps
+                  its sign. A cell where this test overflows splits while it
+                  spans over an octave, then counts as monotone: a root in it
+                  with no sign change has terms near the largest float;
+      monotone -- |f'(m)| > h M2: a root only if its ends differ in sign,
+                  and then the half that keeps them apart splits on;
       a leaf   -- narrower than ROOT_TOL b, or within the sign floor all
                   over, as near a triple root; a root if f vanishes at m.
     Finds with f vanishing between neighbours are one root, at the leaf with
@@ -471,7 +471,7 @@ def _scan(f: CouplingFunction, lo: float, hi: float) -> list[Root]:
     a, b = np.array([lo]), np.array([hi])
     fa, fb = f(a), f(b)
     clear = [(a, fa, f._sign_floor(a)), (b, fb, f._sign_floor(b))]
-    finds, slopes, brackets, visited = [], [], [], 0  # slope: |f'| at a leaf
+    finds, slopes, visited = [], [], 0  # slope: |f'| at a leaf, inf at a sign change
     while a.size:
         visited += a.size
         if visited > SCAN_GRID_CAP:
@@ -484,20 +484,20 @@ def _scan(f: CouplingFunction, lo: float, hi: float) -> list[Root]:
         bound2 = f._deriv2_bound(b)
         spread = h * dm + 0.5 * bound2 * h * h
         clear.append((m, fm, floor))
-        excluded = ~np.isfinite(fm) | (np.abs(fm) > floor + spread)
-        monotone = ~excluded & (dm > h * bound2)
+        tested = np.isfinite(np.abs(fm) + floor + spread)
+        excluded = tested & (np.abs(fm) > floor + spread)
+        monotone = tested & ~excluded & (dm > h * bound2) | ~tested & (b <= 2 * a)
         bracket = monotone & ((fa < 0) != (fb < 0))
-        brackets.append((a[bracket], b[bracket], fa[bracket]))
-        leaf = ~excluded & ~monotone & ((b - a <= ROOT_TOL * b) | (np.abs(fm) + spread <= floor))
-        root = _vanishes(f, m[leaf])
-        finds += m[leaf][root].tolist()
-        slopes += dm[leaf][root].tolist()
-        split = ~(excluded | monotone | leaf)
-        a, m, b = a[split], m[split], b[split]
-        fa, fm, fb = fa[split], fm[split], fb[split]
-        a, b, fa, fb = (np.concatenate(pair) for pair in ((a, m), (m, b), (fa, fm), (fm, fb)))
-    signed = _bisect(f, *(np.concatenate(col) for col in zip(*brackets))).tolist()
-    finds, slopes = finds + signed, slopes + [math.inf] * len(signed)
+        narrow = b - a <= ROOT_TOL * b
+        leaf = tested & ~excluded & ~monotone & (narrow | (np.abs(fm) + spread <= floor))
+        root = _vanishes(f, m[leaf]) if leaf.any() else leaf[leaf]
+        finds += m[leaf][root].tolist() + m[bracket & narrow].tolist()
+        slopes += dm[leaf][root].tolist() + [math.inf] * int(np.sum(bracket & narrow))
+        split = ~(excluded | monotone | leaf) | (bracket & ~narrow)
+        lower = bracket & ((fa < 0) != (fm < 0))
+        left, right = split & ~(bracket & ~lower), split & ~lower
+        a, b = np.concatenate((a[left], m[right])), np.concatenate((m[left], b[right]))
+        fa, fb = np.concatenate((fa[left], fm[right])), np.concatenate((fm[left], fb[right]))
 
     xs, vals, floors = (np.concatenate(col) for col in zip(*clear))
     sure = np.abs(vals) > floors  # where f has a clear sign
@@ -505,33 +505,16 @@ def _scan(f: CouplingFunction, lo: float, hi: float) -> list[Root]:
     xs, signs = xs[sure][order], np.sign(vals[sure])[order]
     order = np.argsort(finds)
     finds, slopes = np.array(finds)[order], np.array(slopes)[order]
-    apart = ~_vanishes(f, 0.5 * (finds[:-1] + finds[1:]))
+    signed = np.isinf(slopes)
+    apart = ~_vanishes(f, 0.5 * (finds[:-1] + finds[1:])) | (signed[:-1] & signed[1:])
     roots = []
     clusters = np.split(np.arange(finds.size), np.flatnonzero(apart) + 1) if finds.size else []
     for cluster in clusters:
-        if np.isinf(slopes[cluster]).all():
-            roots += [Root(x, True) for x in finds[cluster].tolist()]
-            continue
         i = np.searchsorted(xs, finds[cluster[0]])
         j = np.searchsorted(xs, finds[cluster[-1]], side="right")
-        flip = 0 < i and j < xs.size and signs[i - 1] != signs[j]
+        flip = signed[cluster].all() or (0 < i and j < xs.size and signs[i - 1] != signs[j])
         roots.append(Root(float(finds[cluster[np.argmin(slopes[cluster])]]), bool(flip)))
     return roots
-
-
-def _bisect(f: CouplingFunction, a, b, fa):
-    """One sign-change root in each cell [a, b], with f(a) = fa: the cells
-    are halved at their geometric means until narrower than ROOT_TOL b."""
-    while True:
-        m = np.sqrt(a * b)
-        wide = b - a > ROOT_TOL * b
-        if not wide.any():
-            return m
-        fm = f(m)
-        lower = wide & ((fa < 0) != (fm < 0))
-        upper = wide & ~lower
-        b = np.where(lower, m, b)
-        a, fa = np.where(upper, m, a), np.where(upper, fm, fa)
 
 
 def _vanishes(f: CouplingFunction, x):

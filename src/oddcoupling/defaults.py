@@ -14,10 +14,9 @@ EQ_TOL_SCALE = 1e-9
 ZERO_TOL_SCALE = 1e-7
 
 # roots of the coupling function: |f| at most ROOT_TOL times the sum of the
-# absolute terms of f there, and the bisection width in x
+# absolute terms of f there, and the zero scan's cell width relative to x
 ROOT_TOL = 1e-12
-ROOT_MAX_BISECT = 60
-# grid cells a zero scan may ask for; past it the scan ends with exit 3
+# cells a zero scan may visit; past it the scan ends with exit 3
 SCAN_GRID_CAP = 2 ** 16
 
 # edge-space distance below which two equilibria are considered the same

@@ -437,10 +437,11 @@ class EquilibriaPrediction:
 def predict_equilibria_class(G: Graph, f: CouplingFunction) -> EquilibriaPrediction:
     """What the zero set of f alone says about the set of equilibria.
 
-    The witnesses are the positive roots of f in the family's window, which
-    holds every one for polynomials (between the Cauchy bounds of f / x and
-    of its reverse) and for periodic couplings (one period past a Taylor
-    bound at 0), found by the certified exclusion scan of coupling.zeros_in.
+    The witnesses are the positive roots of f found by the certified scan of
+    coupling.zeros_in, over a window that holds every one: one period past a
+    Taylor bound at 0 for periodic couplings, the Cauchy bounds of f / x and
+    its reverse for polynomials. Left out are the roots at which the lowest
+    term is subnormal or the scan's test overflows.
     """
     if G.m < 1:
         raise ValidationError("prediction needs a graph with at least one edge")

@@ -195,7 +195,13 @@ def _settle_gap(abs_x, gx) -> float:
     """The settle event: ||F(x)|| = ||grad E(x)|| minus the equilibrium
     tolerance, falling through zero as the flow settles. Takes |x|, which the
     stepper has; EQ_TOL_SCALE * (1 + max |x|) is eq_tolerance(x), bit for bit."""
-    return math.sqrt(gx.dot(gx)) - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
+    # np.vdot sums as gx.dot does, bit for bit, but warns of no overflow, and
+    # np.errstate would cost more than the dot on every step
+    norm = math.sqrt(np.vdot(gx, gx))
+    if norm == math.inf:  # a square past the float range: scale g by max |g|
+        top = float(np.maximum.reduce(np.abs(gx)))
+        norm = top * math.sqrt((gx / top).dot(gx / top))
+    return norm - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
 
 
 def _initial_step(gradient, x0, g0, t_end, rtol, atol):

@@ -32,7 +32,7 @@ from oddcoupling import (  # noqa: E402
 )
 from oddcoupling import simulate as simulate_mod  # noqa: E402
 from oddcoupling.corpus import complete_graph, path_graph  # noqa: E402
-from oddcoupling.defaults import ODE_ATOL, ODE_RTOL  # noqa: E402
+from oddcoupling.defaults import EQ_TOL_SCALE, ODE_ATOL, ODE_RTOL  # noqa: E402
 from oddcoupling.equilibria import bound_gradient  # noqa: E402
 from oddcoupling.errors import NonFiniteFieldError, NumericalError, ValidationError  # noqa: E402
 
@@ -43,10 +43,10 @@ CUBIC_UP = make_polynomial([1.0, 1.0])      # x + x^3
 EPS = float(np.finfo(float).eps)
 
 
-def same_run(G, f, x0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL):
+def same_run(G, f, x0, t_end, rtol=ODE_RTOL, atol=ODE_ATOL, oracle_over=None):
     """Run both integrators and require equal bits; return the oracle's
-    result."""
-    with warnings.catch_warnings():
+    result. oracle_over is np.errstate's over, for the oracle alone."""
+    with warnings.catch_warnings(), np.errstate(over=oracle_over):
         warnings.simplefilter("ignore", UserWarning)   # scipy's rtol floor
         sol = solve_ivp_oracle(G, f, x0, t_end, rtol, atol)
     times, states, status = simulate_mod._dopri5(
@@ -149,9 +149,21 @@ def test_stages_near_the_largest_float_are_finite():
     x0 = np.tile([5e306, -5e306, 0.0, 0.0], 4)
     g0 = bound_gradient(G, f)(x0)
     assert 18 * float(g0.max()) > np.finfo(float).max
-    # ||F||^2 in the settle event overflows, in both integrators
-    with np.errstate(over="ignore"):
-        assert same_run(G, f, x0, 3.0).status == 0
+    # ||F||^2 in the oracle's settle event overflows; the program's own
+    # stepper takes the norm of F scaled by max |F| there, without a warning
+    assert same_run(G, f, x0, 3.0, oracle_over="ignore").status == 0
+
+
+def test_settle_gap_scales_only_a_norm_that_overflows():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 16, 100):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150)
+        gap = simulate_mod._settle_gap(np.abs(g), g)
+        want = math.sqrt(g.dot(g)) - EQ_TOL_SCALE * (1.0 + float(np.abs(g).max()))
+        assert gap == want
+    # (3, -4) 2^600, whose squares overflow, has the norm 5 * 2^600 exactly
+    g = np.array([math.ldexp(3, 600), math.ldexp(-4, 600)])
+    assert simulate_mod._settle_gap(np.zeros(2), g) == math.ldexp(5, 600) - EQ_TOL_SCALE
 
 
 def test_matches_solve_ivp_with_rejected_steps():

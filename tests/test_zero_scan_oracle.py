@@ -73,6 +73,42 @@ def test_the_origin_does_not_leak_into_a_sine_window():
     assert len(rep.nonzero_roots) == 1
 
 
+def test_roots_below_an_overflowing_window_top_are_kept():
+    # x - x^3 + 1e-250 x^9: the Cauchy bound puts the window's top at 2e125,
+    # where f overflows; those cells split down to an octave before the scan
+    # gives them up, so the roots at 1 and at 1e250^(1/6) stay witnesses
+    f = make_polynomial([1.0, -1.0, 0.0, 0.0, 1e-250])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = predict_equilibria_class(EDGE, f)
+        assert f.sign_on_positives == SIGN_MIXED
+    assert rep.kind == EquilibriaClass.NO_CONCLUSION and not rep.global_convergence
+    assert np.allclose(rep.nonzero_roots, [1.0, 1e250 ** (1 / 6)], rtol=1e-9, atol=0.0)
+
+
+def test_a_sign_change_where_the_bound_on_f2_overflows_is_kept():
+    # -2.1e307 x + 2e307 x^3: the bound on |f''| overflows on every cell about
+    # the root sqrt(1.05), whose terms are near the largest float; the sign
+    # change of such a cell's ends is still bisected
+    f = make_polynomial([-2.1e307, 2e307])
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = f.positive_zeros
+    assert np.allclose(zs.values(), [math.sqrt(1.05)], rtol=1e-9, atol=0.0)
+    assert zs.roots[0].sign_change
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    # x^3 - 1e-300 x: f'(0) = -1e-300, and x f'(x) vanishes at 5.8e-151, where
+    # it underflows; the lowest coefficient of f' gives its sign next to 0
+    ([-1e-300, 1.0], False),
+    # x + 2e307 x^3: the f' of x f'(x) = x + 6e307 x^3 overflows unless scaled
+    ([1.0, 2e307], True),
+], ids=["negative_slope_at_0", "huge_cubic"])
+def test_increasing_at_the_ends_of_the_float_range(coeffs, want):
+    f = make_polynomial(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert predict_equilibria_class(EDGE, f).global_convergence is want
+
+
 def oracle_roots(coeffs):
     """The positive roots of sum_k c_k x^(2k+1) at 60 digits."""
     with mpmath.workdps(60):
