@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .coupling import CouplingFunction
 from .defaults import CONTINUATION_STEP, EQ_TOL_SCALE, ZERO_TOL_SCALE
@@ -79,8 +80,9 @@ def _local_dimension(G: Graph, Dn: np.ndarray, evals: np.ndarray, evecs: np.ndar
     zero_mask = spec.zero_mask
     d = max(0, spec.zero_multiplicity - G.c)
 
-    gap = (float(np.min(np.abs(evals[~zero_mask]), initial=np.inf)),
-           float(np.max(np.abs(evals[zero_mask]), initial=0.0)))
+    abs_evals = np.abs(evals)
+    gap = (float(np.minimum.reduce(abs_evals[~zero_mask], initial=np.inf)),
+           float(np.maximum.reduce(abs_evals[zero_mask], initial=0.0)))
 
     K = evecs[:, zero_mask]
     K = K - Dn.T @ (Dn @ K)  # project out translations
@@ -154,6 +156,28 @@ def _edge_normalized(G: Graph, t: np.ndarray) -> np.ndarray:
     return t / nrm
 
 
+# the gufunc that np.linalg.lstsq runs on each matrix, LAPACK's gelsd, which
+# solves a whole stack in one call; looked up here, so that a numpy without
+# it fails on import
+_GELSD = _umath_linalg.lstsq
+_EPS = float(np.finfo(float).eps)
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _stacked_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(a, v, rcond=None)[0]`` for every tall matrix a of
+    the stack A, shape (S, m, n) with m >= n, and its row v of b, shape
+    (S, m), in one call: each solution equals the lone call's bit for bit,
+    with its rcond eps * m and its error handling."""
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _GELSD(A, b[..., None], _EPS * A.shape[-2], signature="ddd->ddid")[0]
+    return x[..., 0]
+
+
 def _correct(G: Graph, f: CouplingFunction, X_pred: np.ndarray, T: np.ndarray,
              max_iter: int = 30):
     """Newton iteration for F(x) = 0 from every row of the stack ``X_pred``,
@@ -163,7 +187,9 @@ def _correct(G: Graph, f: CouplingFunction, X_pred: np.ndarray, T: np.ndarray,
 
     Every row takes the steps a lone correction with the C-ordered matrix
     ``T[i]`` would, bit for bit (a transposed view rounds T @ d differently).
-    Each row's system [-H; T; D] goes to its own ``np.linalg.lstsq`` call.
+    The systems [-H; T; D] of all live rows go to one stacked least-squares
+    call per iteration, which solves each as its own ``np.linalg.lstsq`` call
+    would.
 
     Returns the final states, their residuals ||F|| and an outcome per row:
     CONVERGED, NONFINITE or DIVERGED (the step was not finite, or longer than
@@ -203,7 +229,7 @@ def _correct(G: Graph, f: CouplingFunction, X_pred: np.ndarray, T: np.ndarray,
             rows, x, x_pred, T, A = rows[live], x[live], x_pred[live], T[live], A[live]
             r, rn, scale = r[live], rn[live], scale[live]
         A[:, :n] = -hessian(G, f, x)
-        delta = np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(A, -r)])
+        delta = _stacked_lstsq(A, -r)
         # a step that is not finite fails this test too
         short = np.sqrt(np.vecdot(delta, delta)) <= 1e3 * scale
         n_short = np.count_nonzero(short)

@@ -269,8 +269,12 @@ def _clean_terms(terms) -> tuple[tuple[int, float], ...]:
 def _term_sum(table, trig, x):
     """sum of c trig(w x) over the (w, c) table, elementwise in x."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for w, c in table:
+    (w, c), *rest = table
+    # the first term t, plus 0.0: a sum from zero, 0.0 + t, rounds alike and
+    # turns -0.0 into 0.0. A 0-d x gives a 0-d array, not a numpy scalar
+    out = np.asarray(c * trig(w * x))
+    out += 0.0
+    for w, c in rest:
         out += c * trig(w * x)
     return out
 

@@ -94,10 +94,26 @@ def hessian(G: Graph, f: CouplingFunction, x) -> np.ndarray:
 
 
 def canonical_form(G: Graph, x) -> np.ndarray:
-    """Project out the per-component mean (the translational symmetry)."""
+    """Project out the per-component mean (the translational symmetry).
+
+    A stack ``x`` of shape (k, n) gives the k forms, each equal bit for bit
+    to the single-state call.
+    """
     x = np.asarray(x, dtype=float)
-    means = (G.D @ x) / G.D.sum(axis=1)
-    return x - G.D.T @ means
+    D, sizes = G.D, _component_sizes(G)
+    if x.ndim == 1:
+        # ndarray.dot is np.matmul's matrix-vector product without its ufunc
+        # dispatch, as in bound_gradient
+        return x - D.T.dot(D.dot(x) / sizes)
+    return x - _rowwise(D.T, _rowwise(D, x) / sizes)
+
+
+@lru_cache(maxsize=256)
+def _component_sizes(G: Graph) -> np.ndarray:
+    """The vertex count of every component, shape (c,), as a float array."""
+    sizes = G.D.sum(axis=1)
+    sizes.setflags(write=False)
+    return sizes
 
 
 @dataclass(frozen=True)

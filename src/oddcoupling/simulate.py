@@ -76,7 +76,8 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     endpoint is then polished by Newton and reported as ``converged_to``.
     A step that falls below ten ulps of t raises ``StepUnderflowError``, a
     vector field that turns non-finite ``NonFiniteFieldError``, and a run
-    that exhausts ``ODE_MAX_STEPS`` step attempts ``NumericalError``.
+    that exhausts ``ODE_MAX_STEPS`` step attempts, or samples a state whose
+    energy is not finite, ``NumericalError``.
     """
     if not (t_end > 0 and math.isfinite(t_end)):
         raise ValidationError("t_end must be positive and finite")
@@ -97,7 +98,15 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
 
     comp_sums = states @ G.D.T                   # (T, c)
     drift = float(np.max(np.abs(comp_sums - comp_sums[0]), initial=0.0))
-    energies = energy(G, f, states)
+    # a state near the float range can have an energy past it, which the
+    # monotonicity check cannot compare
+    with np.errstate(over="ignore"):
+        energies = energy(G, f, states)
+    finite = np.isfinite(energies)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericalError(f"the energy is {energies[i]} at t = {times[i]:.6g}: "
+                             "past the float range, its decrease cannot be checked")
 
     if energies.size > 1:
         slack = mono_tolerance(float(energies[0]))
@@ -114,7 +123,7 @@ def integrate(G: Graph, f: CouplingFunction, x0, t_end: float = ODE_T_END,
     # at that floor and a Newton polish stays local and accepted
     converged_to = None
     final = states[-1]
-    final_res = float(np.linalg.norm(vector_field(G, f, final)))
+    final_res = _norm(vector_field(G, f, final))
     if status == 1 or final_res <= 1000.0 * eq_tolerance(final):
         try:
             polished = newton_solve(G, f, final)
@@ -191,17 +200,24 @@ def _not_finite(t):
     return NonFiniteFieldError(f"the vector field is not finite at t = {t:.6g}")
 
 
+def _norm(g) -> float:
+    """||g||, as np.linalg.norm takes it, bit for bit, where its square is
+    finite; where it is not, the norm of g scaled by max |g|, without a
+    warning."""
+    # np.vdot sums as g.dot does, bit for bit, but warns of no overflow, and
+    # np.errstate would cost more than the dot on every step
+    norm = math.sqrt(np.vdot(g, g))
+    if norm == math.inf:
+        top = float(np.maximum.reduce(np.abs(g)))
+        norm = top * math.sqrt((g / top).dot(g / top))
+    return norm
+
+
 def _settle_gap(abs_x, gx) -> float:
     """The settle event: ||F(x)|| = ||grad E(x)|| minus the equilibrium
     tolerance, falling through zero as the flow settles. Takes |x|, which the
     stepper has; EQ_TOL_SCALE * (1 + max |x|) is eq_tolerance(x), bit for bit."""
-    # np.vdot sums as gx.dot does, bit for bit, but warns of no overflow, and
-    # np.errstate would cost more than the dot on every step
-    norm = math.sqrt(np.vdot(gx, gx))
-    if norm == math.inf:  # a square past the float range: scale g by max |g|
-        top = float(np.maximum.reduce(np.abs(gx)))
-        norm = top * math.sqrt((gx / top).dot(gx / top))
-    return norm - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
+    return _norm(gx) - EQ_TOL_SCALE * (1.0 + float(np.maximum.reduce(abs_x)))
 
 
 def _initial_step(gradient, x0, g0, t_end, rtol, atol):
@@ -426,7 +442,8 @@ def basin_sample(G: Graph, f: CouplingFunction, p: EquilibriumPoint, radius: flo
     A trial whose trajectory blows up in finite time, so that the step
     underflows or the field turns non-finite, escaped: it counts as not
     returned, with no final distance and no excursion. A run out of step
-    attempts is stiffness, not escape, and still raises.
+    attempts is stiffness, not escape, and still raises, as does a sample
+    whose energy is past the float range.
     """
     if not p.accepted():
         raise ValidationError(f"residual {p.residual:.3e}: not an accepted equilibrium")

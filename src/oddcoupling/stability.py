@@ -40,9 +40,11 @@ class Spectrum:
 
     @classmethod
     def of(cls, values, zero_scale: float = ZERO_TOL_SCALE) -> Spectrum:
-        thr = zero_scale * max(1.0, float(np.max(np.abs(values), initial=0.0)))
-        mask = np.abs(values) <= thr
-        return cls(values, thr, int(np.sum(mask)), mask)
+        # np.max's reduce ufunc without its wrapper, and a count for np.sum
+        abs_values = np.abs(values)
+        thr = zero_scale * max(1.0, float(np.maximum.reduce(abs_values, initial=0.0)))
+        mask = abs_values <= thr
+        return cls(values, thr, np.count_nonzero(mask), mask)
 
     @classmethod
     def at(cls, G: Graph, f: CouplingFunction, x,
@@ -123,7 +125,7 @@ def _verdict(G: Graph, spec: Spectrum, local_dim: int | None) -> StabilityReport
                             "kernel exceeds translations without matching "
                             "manifold dimension; eigenvalues are inconclusive")
     return StabilityReport(
-        spectrum=tuple(float(v) for v in evals),
+        spectrum=tuple(evals.tolist()),
         rank=G.n - zero_mult,
         zero_multiplicity=zero_mult,
         verdict=verdict,

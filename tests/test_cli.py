@@ -647,6 +647,22 @@ def test_bad_value_ends_with_exit_code(workdir, capsys, monkeypatch, argv, code,
     assert "Traceback" not in err
 
 
+def test_simulate_energy_past_the_float_range_exits_3(workdir, monkeypatch):
+    # every energy of (5e306, -5e306) on an edge under f(x) = x overflows;
+    # unchecked, the infinite energy reached the JSON writer and failed there
+    monkeypatch.chdir(workdir)
+    (workdir / "pairs.json").write_text(json.dumps(
+        {"n": 16, "edges": [[0, 1], [4, 5], [8, 9], [12, 13]]}))
+    (workdir / "linear.json").write_text(json.dumps({"family": "odd_poly", "coeffs": [1.0]}))
+    x0 = ",".join(["5e306", "-5e306", "0", "0"] * 4)
+    proc = run_module(["simulate", "--graph", "pairs.json", "--coupling", "linear.json",
+                       f"--x0={x0}", "--t-end", "3"], timeout=20)
+    assert proc.returncode == 3
+    assert proc.stderr == ("numerical failure: the energy is inf at t = 0: past the float "
+                           "range, its decrease cannot be checked\n")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("command", ["stability", "basin", "continue"])
 def test_non_finite_point_on_an_edgeless_graph_is_refused_as_such(workdir, capsys,
                                                                  monkeypatch, command):

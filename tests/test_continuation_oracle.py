@@ -21,6 +21,7 @@ from oddcoupling.continuation import (
     CONVERGED,
     _correct,
     _edge_normalized,
+    _stacked_lstsq,
 )
 from oddcoupling.corpus import (
     book_family_point,
@@ -134,6 +135,52 @@ def test_correct_matches_oracle_row_by_row():
                 assert X[i].tobytes() == want.tobytes()
                 assert res[i].hex() == equilibrium_point(G, f, want).residual.hex()
     assert {(30, CONVERGED), (30, CAPPED), (2, CONVERGED), (2, CAPPED)} <= seen
+
+
+def test_stacked_lstsq_matches_per_row_lstsq():
+    """Stacks of the corrector's systems [-H; T; D], H a weighted Laplacian
+    with c components and edge weights of both signs: some systems rank
+    deficient, some right-hand sides zero, some holding inf, whose NaN
+    solution is the lone call's too."""
+    rng = np.random.default_rng(33)
+    deficient = zeros = nans = 0
+    for _ in range(300):
+        n, k, c = int(rng.integers(2, 20)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        S = int(rng.integers(1, 7))
+        comp = np.arange(n) % c
+        D = np.zeros((c, n))
+        D[comp, np.arange(n)] = 1.0
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if comp[u] == comp[v]]
+        A = np.empty((S, n + k + c, n))
+        b = rng.standard_normal((S, n + k + c))
+        for s in range(S):
+            edges = [e for e in pairs if rng.random() < 0.4]
+            B = np.zeros((n, len(edges)))
+            for j, (u, v) in enumerate(edges):
+                B[u, j], B[v, j] = 1.0, -1.0
+            w = rng.standard_normal(len(edges)) * 10.0 ** rng.uniform(-3, 3)
+            T = rng.standard_normal((k, n))
+            if rng.random() < 0.3:
+                # a repeated tangent row and half the edges weighted zero,
+                # or so light that the cut-off rcond = eps * (n + k + c)
+                # decides the rank
+                T[-1] = T[0]
+                w[: len(w) // 2] *= 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-18, -13)
+            A[s, :n] = -(B * w) @ B.T
+            A[s, n:n + k] = T
+            A[s, n + k:] = D
+            deficient += np.linalg.matrix_rank(A[s]) < n
+            if rng.random() < 0.15:
+                b[s] = 0.0
+                zeros += 1
+            elif rng.random() < 0.1:
+                b[s, rng.integers(0, n + k + c)] = np.inf
+        got = _stacked_lstsq(A, b)
+        want = np.array([np.linalg.lstsq(a, v, rcond=None)[0] for a, v in zip(A, b)])
+        assert got.shape == (S, n)
+        assert got.tobytes() == want.tobytes()
+        nans += np.isnan(got).all(axis=1).sum()
+    assert deficient > 50 and zeros > 50 and nans > 10
 
 
 def test_stacked_local_dimension_matches_single_calls():

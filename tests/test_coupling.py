@@ -105,6 +105,30 @@ def test_oddness_all_families():
         assert np.all(np.abs(left - right) <= 2 * np.finfo(float).eps * np.abs(right) + 1e-300)
 
 
+def test_term_sum_keeps_the_sign_of_zero_and_the_0d_type():
+    # the sine families' sums start from their first term and must round as
+    # a sum from zero, which turns -0.0 into 0.0 and gives a 0-d array for a
+    # 0-d x
+    def sum_from_zero(table, trig, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        for w, c in table:
+            out += c * trig(w * x)
+        return out
+
+    signed_zeros = np.array([0.0, -0.0])
+    for f in (make_sine_combination({1: 1.0}), make_sine_combination({1: -1.0, 3: 0.5}),
+              make_sine_series(math.pi, {1: 1.0}), make_sine_series(1.7, {1: -0.8, 3: 0.3})):
+        for table, trig, got in ((f._sin, np.sin, f), (f._cos, np.cos, f.deriv),
+                                 (f._d2, np.sin, f.deriv2)):
+            for x in (0.0, -0.0, signed_zeros):
+                want = sum_from_zero(table, trig, x)
+                value = got(x)
+                assert type(value) is np.ndarray and value.shape == np.shape(x)
+                assert value.tobytes() == want.tobytes()
+            assert not np.signbit(got(signed_zeros)).any()
+
+
 def test_sine_series_antiperiodicity():
     rng = np.random.default_rng(9)
     xs = rng.uniform(-10, 10, size=1000)

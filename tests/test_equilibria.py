@@ -389,6 +389,29 @@ def test_canonical_form_zero_mean():
         assert np.max(np.abs(D @ canon)) < 1e-12
 
 
+def test_canonical_form_rows_match_single_calls():
+    # one to three components: the 1-D call, through ndarray.dot, equals
+    # each row of the stacked call and the matmul formula x - D^T (D x / sizes)
+    # bit for bit
+    rng = np.random.default_rng(33)
+    for c in (1, 2, 3):
+        for _ in range(10):
+            edges, n = [], 0
+            for _ in range(c):
+                H = random_connected_graph(rng, n_max=7)
+                edges += [(u + n, v + n) for u, v in H.edges]
+                n += H.n
+            G = build_graph(edges, n=n)
+            assert G.c == c
+            X = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+            stacked = canonical_form(G, X)
+            assert stacked.shape == X.shape
+            for x, row in zip(X, stacked):
+                single = canonical_form(G, x)
+                assert single.tobytes() == row.tobytes()
+                assert single.tobytes() == (x - G.D.T @ ((G.D @ x) / G.D.sum(axis=1))).tobytes()
+
+
 def test_accepted_points_pass_membership():
     rng = np.random.default_rng(60)
     for _ in range(10):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from oddcoupling import (
     Verdict,
     basin_sample,
+    build_graph,
     classify,
     energy,
     equilibrium_point,
@@ -22,6 +24,7 @@ from oddcoupling.errors import NumericalError, StepUnderflowError, ValidationErr
 from helpers import random_connected_graph
 
 SIN = make_sine_combination({1: 1.0})
+LINEAR = make_polynomial([1.0])
 
 
 def test_equilibrium_is_stationary():
@@ -92,6 +95,28 @@ def test_energy_rise_aborts(monkeypatch):
     monkeypatch.setattr(simulate_mod, "_dopri5", fake_dopri5)
     with pytest.raises(NumericalError):
         simulate_mod.integrate(G, SIN, np.array([0.0, 0.5]))
+
+
+def test_energy_past_the_float_range_raises():
+    # (g, -g) on four edges, g = 1e307, under f(x) = x: every energy y^2 / 2
+    # overflows, and inf - inf = nan would pass the monotonicity check
+    G = build_graph([(0, 1), (4, 5), (8, 9), (12, 13)], n=16)
+    x0 = np.tile([5e306, -5e306, 0.0, 0.0], 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"^the energy is inf at t = 0: past the float range"):
+            integrate(G, LINEAR, x0, t_end=3.0)
+
+
+def test_final_residual_past_the_float_range_is_scaled():
+    # y = 1e154 has a finite energy 5e307, but the square of its field does
+    # not: the final residual is the scaled norm, without a warning
+    G = path_graph(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(G, LINEAR, np.array([5e153, -5e153]), t_end=1e-3)
+    assert np.isfinite(traj.energies).all()
+    assert not traj.converged
 
 
 def test_basin_stable_origin():
